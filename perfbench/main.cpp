@@ -10,13 +10,12 @@
 // the reason on stderr, no JSON line, and exits 1.
 //
 //   perfbench --workload sweep_cold --seed 1 --seconds 10 --trace 0
-#include <sys/resource.h>
-
 #include <cmath>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,30 +27,67 @@ namespace perfbench {
 
 using smartnoc::strf;
 
-double peak_rss_mb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
+bool reset_peak_rss() {
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && ok;
 }
 
-void add_host_metrics(Result& r, double setup_s, const Windows& w, const char* rate_label,
+double peak_rss_mb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) throw std::runtime_error("cannot read /proc/self/status");
+  char line[256];
+  long kib = -1;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %ld kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  if (kib < 0) throw std::runtime_error("no VmHWM in /proc/self/status");
+  return static_cast<double>(kib) / 1024.0;
+}
+
+void add_host_metrics(Result& r, double setup_s, const Timed& t, const char* rate_label,
                       const char* pct_prefix, const char* pct_unit, double pct_scale) {
-  Windows::Quiet q = w.quiet();
-  const std::size_t n = q.samples.size();
+  std::vector<double> samples = t.samples;
+  const std::size_t n = samples.size();
   const std::string p50 = std::string(pct_prefix) + "_p50";
   const std::string p99 = std::string(pct_prefix) + "_p99";
   r.add("setup_s", "s", setup_s, kSegments);
-  r.add(Metric{"ops_per_s", "1/s", q.rate(), w.ops(), rate_label, "1/s", 1.0});
-  r.add(Metric{"op_ms_p50", "ms", percentile(q.samples, 50), n, p50, pct_unit, pct_scale});
-  r.add(Metric{"op_ms_p99", "ms", percentile(q.samples, 99), n, p99, pct_unit, pct_scale});
-  std::vector<double> all = w.all();
-  r.lines.push_back(strf(
-      "quiet windows: %zu of %zu (%.2f s of work); over all windows %s = %.6f %s", q.windows,
-      q.of, q.seconds, p50.c_str(), percentile(all, 50) * pct_scale, pct_unit));
+  r.add(Metric{"ops_per_s", "1/s", t.rate(), t.ops, rate_label, "1/s", 1.0});
+  r.add(Metric{"op_ms_p50", "ms", percentile(samples, 50), n, p50, pct_unit, pct_scale});
+  r.add(Metric{"op_ms_p99", "ms", percentile(samples, 99), n, p99, pct_unit, pct_scale});
   if (n < 1000) {
-    r.lines.push_back(strf("warning: %zu quiet samples; %s has fewer than 10 beyond it", n,
+    r.lines.push_back(strf("warning: %zu samples; %s has fewer than 10 beyond it", n,
                            p99.c_str()));
   }
+}
+
+void check_golden(Result& r, const char* key, const SimValues& golden) {
+  std::FILE* f = std::fopen(kGoldenFile, "r");
+  if (f == nullptr) throw std::runtime_error(std::string("cannot read ") + kGoldenFile);
+  char line[512];
+  char name[64];
+  double lat = 0.0, pw = 0.0;
+  bool found = false;
+  while (!found && std::fgets(line, sizeof line, f) != nullptr) {
+    found = line[0] != '#' && std::sscanf(line, "%63s %lf %lf", name, &lat, &pw) == 3 &&
+            std::string(name) == key;
+  }
+  std::fclose(f);
+  if (!found) throw std::runtime_error(std::string(kGoldenFile) + " has no line for " + key);
+  const auto pin = [&](const char* metric, double got, double want) {
+    r.check(got == want, strf("%s for seed %llu is %.17g; %s pins %.17g", metric,
+                              static_cast<unsigned long long>(kGoldenSeed), got, kGoldenFile,
+                              want));
+  };
+  pin("sim_latency_cycles", golden.latency_cycles, lat);
+  pin("sim_power_mw", golden.power_mw, pw);
+}
+
+void add_sim_metrics(Result& r, const SimValues& v) {
+  r.add("sim_latency_cycles", "cycles", v.latency_cycles, v.latency_n);
+  r.add("sim_power_mw", "mW", v.power_mw, v.power_n);
 }
 
 double add_reconciliation(Result& r, const Parts& parts, const char* whole, double whole_s,
@@ -74,11 +110,11 @@ double add_reconciliation(Result& r, const Parts& parts, const char* whole, doub
   return frac;
 }
 
-void add_trace_overhead(Result& r, const Windows& plain, const Windows& traced) {
-  const double a = plain.quiet().rate(), b = traced.quiet().rate();
-  r.lines.push_back(strf("tracing overhead: quiet work rate %.6g plain vs %.6g traced (%+.2f%%)",
-                         a, b, 100.0 * (a / b - 1.0)));
-  r.add("bench.trace_overhead_frac", "frac", a / b - 1.0, traced.ops());
+void add_trace_overhead(Result& r, const Timed& plain, const Timed& traced) {
+  const double a = plain.rate(), b = traced.rate();
+  r.lines.push_back(strf("tracing overhead: work rate %.6g plain vs %.6g traced (%+.2f%%)", a, b,
+                         100.0 * (a / b - 1.0)));
+  r.add("bench.trace_overhead_frac", "frac", a / b - 1.0, traced.ops);
 }
 
 namespace {
@@ -247,6 +283,9 @@ int main(int argc, char** argv) {
   try {
     std::filesystem::create_directories(opt.workdir);
     for (const Workload* w : selected) {
+      if (!reset_peak_rss() && selected.size() > 1) {
+        throw std::runtime_error("cannot reset the RSS high-water mark between workloads");
+      }
       const Result r = w->run(opt);
       for (const std::string& f : r.check_failures) {
         std::fprintf(stderr, "perfbench: %s: check failed: %s\n", w->name, f.c_str());

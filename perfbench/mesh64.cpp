@@ -105,6 +105,12 @@ Digest run_prefix(Mesh64& f) {
                 net.stats().avg_network_latency(), net.stats().activity()};
 }
 
+SimValues prefix_sim(const NocConfig& cfg, const Digest& d) {
+  const power::PowerBreakdown pw =
+      power::compute_power(cfg, d.activity, kPrefix, power::EnergyParams::for_config(cfg));
+  return SimValues{d.latency, pw.total() * 1e3, d.packets, 1};
+}
+
 struct ShardSums {
   double barrier_s = 0.0;
   std::uint64_t boundary = 0;
@@ -125,8 +131,7 @@ Result run_mesh64_sharded(const Options& opt) {
   Result r;
   const int shards = opt.threads;
   const std::uint64_t seed = mix_seed(opt.seed, 64);
-  const auto t0 = Clock::now();
-  Windows plain(t0), traced(t0);
+  Timed plain, traced;
   noc::FlowSet flows;
   std::unique_ptr<Mesh64> fab;
   std::vector<Digest> prefixes;
@@ -192,31 +197,35 @@ Result run_mesh64_sharded(const Options& opt) {
     r.check(one->build.net->shard_count() == 1, "reference fabric is sharded");
     r.check(run_prefix(*one) == prefixes.front(), "4-shard prefix differs from the 1-shard run");
   }
+  const SimValues sim = prefix_sim(cfg, prefixes.front());
+  SimValues golden = sim;
+  if (opt.seed != kGoldenSeed) {
+    const NocConfig gcfg = mesh_config(mix_seed(kGoldenSeed, 64), shards);
+    std::unique_ptr<Mesh64> g = make_fabric(gcfg, local_uniform_flows(gcfg));
+    golden = prefix_sim(gcfg, run_prefix(*g));
+  }
+  check_golden(r, "mesh64", golden);
 
   if (!opt.trace) {
     add_host_metrics(r, setup_s, plain, "sim_cycles_per_s", "cycle_us", "us", 1e3);
     r.add("peak_rss_mb", "MB", rss_mb, 1);
-    const Digest& d = prefixes.front();
-    const power::PowerBreakdown pw =
-        power::compute_power(cfg, d.activity, kPrefix, power::EnergyParams::for_config(cfg));
-    r.add("sim_latency_cycles", "cycles", d.latency, d.packets);
-    r.add("sim_power_mw", "mW", pw.total() * 1e3, 1);
+    add_sim_metrics(r, sim);
     return r;
   }
 
-  const double cycles = static_cast<double>(traced.ops()) * kBatch;
-  r.add("noc.tick_us", "us", tick_s / cycles * 1e6, traced.ops());
-  r.add("noc.generate_us", "us", gen_s / cycles * 1e6, traced.ops());
-  r.add("noc.barrier_wait_frac", "frac", barrier_s / (shards * traced_wall), traced.ops());
+  const double cycles = static_cast<double>(traced.ops) * kBatch;
+  r.add("noc.tick_us", "us", tick_s / cycles * 1e6, traced.ops);
+  r.add("noc.generate_us", "us", gen_s / cycles * 1e6, traced.ops);
+  r.add("noc.barrier_wait_frac", "frac", barrier_s / (shards * traced_wall), traced.ops);
   r.add("noc.boundary_flits_per_cycle", "count", static_cast<double>(boundary) / cycles,
-        traced.ops());
-  r.add("noc.xbar_flits_per_cycle", "count", static_cast<double>(xbar) / cycles, traced.ops());
-  r.add("noc.ns_per_xbar_flit", "ns", tick_s / static_cast<double>(xbar) * 1e9, traced.ops());
+        traced.ops);
+  r.add("noc.xbar_flits_per_cycle", "count", static_cast<double>(xbar) / cycles, traced.ops);
+  r.add("noc.ns_per_xbar_flit", "ns", tick_s / static_cast<double>(xbar) * 1e9, traced.ops);
   r.add("smart.preset_ms", "ms", preset_ms, 1);
   r.add("bench.recon_frac", "frac",
         add_reconciliation(r, {{"tick", tick_s}, {"generate", gen_s}}, "traced wall",
                            traced_wall, "clock reads and the batch loop"),
-        traced.ops());
+        traced.ops);
   add_trace_overhead(r, plain, traced);
   return r;
 }

@@ -1,6 +1,6 @@
 // Shared pieces of the benchmark driver: run options, the result record
-// every workload fills, sample statistics, and the segmented, windowed
-// timing every workload runs under.
+// every workload fills, sample statistics, and the segmented timing every
+// workload runs under.
 //
 // A workload measures host time (what the simulator costs) and reports the
 // simulated results it produced (sim_*), which must repeat exactly for a
@@ -50,7 +50,7 @@ struct Result {
   std::uint64_t failed = 0;                 ///< !ok rows/sessions, undrained runs, exceptions
   std::vector<std::string> check_failures;  ///< output checks that did not hold
   std::vector<Metric> metrics;
-  std::vector<std::string> lines;           ///< extra table rows: quiet windows, reconciliation
+  std::vector<std::string> lines;           ///< extra table rows: reconciliation, notes
 
   void check(bool ok, const std::string& what) {
     if (!ok) check_failures.push_back(what);
@@ -92,7 +92,11 @@ inline bool same_activity(const smartnoc::noc::ActivityCounters& a,
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-/// Peak resident set size of this process, in MB.
+/// Resets this process's resident-set high-water mark to its current RSS,
+/// so peak_rss_mb() measures from here on. False if the kernel refused.
+bool reset_peak_rss();
+
+/// Resident-set high-water mark of this process (VmHWM), in MB.
 double peak_rss_mb();
 
 /// SplitMix64 step: derives per-item seeds from the workload seed.
@@ -103,81 +107,35 @@ inline std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
   return z ^ (z >> 31);
 }
 
-// Host time on the machines this runs on has multi-second periods in which
-// everything runs about 1.5x slower (interference from outside the process:
-// a single-threaded loop flips between ~2.5 ms and ~3.7 ms per scenario
-// within one run), so a plain per-run median lands in either mode. Every
-// run is therefore split into kSegments rounds of set-up plus timed work,
-// and host-time metrics are taken over the run's quiet windows: the
-// kQuietShare of kWindowSeconds wall-clock windows with the highest work
-// rate. Checks, failure counts and modelled results use every operation.
+// Host time on the machines this runs on drifts by up to 1.5x over tens of
+// seconds (interference from outside the process), so a run that sets up
+// once and then measures one block can land wholly in a fast or a slow
+// stretch. Every run is therefore split into kSegments rounds of set-up plus
+// timed work, spreading both over the whole run. Host-time metrics are
+// taken over every timed operation of the run: no window or sample is
+// dropped, so an occasional slow operation counts as it happened.
 inline constexpr int kSegments = 5;
-inline constexpr double kWindowSeconds = 0.5;
-inline constexpr double kQuietShare = 0.2;
 
-/// Timed operations of one loop, grouped by the wall-clock window in which
-/// each finished.
-class Windows {
- public:
-  explicit Windows(Clock::time_point t0) : t0_(t0) {}
+/// The timed operations of one loop.
+struct Timed {
+  double work = 0.0, seconds = 0.0;
+  std::vector<double> samples;
+  std::size_t ops = 0;
 
   /// One finished operation: `work` units (points, scenarios, cycles) in
   /// `seconds`, contributing `samples` to the percentiles.
-  void add(double work, double seconds, const std::vector<double>& samples) {
-    const auto i = static_cast<std::size_t>(seconds_since(t0_) / kWindowSeconds);
-    if (i >= w_.size()) w_.resize(i + 1);
-    w_[i].work += work;
-    w_[i].seconds += seconds;
-    w_[i].samples.insert(w_[i].samples.end(), samples.begin(), samples.end());
-    all_.insert(all_.end(), samples.begin(), samples.end());
-    ops_ += 1;
+  void add(double w, double s, const std::vector<double>& smp) {
+    work += w;
+    seconds += s;
+    samples.insert(samples.end(), smp.begin(), smp.end());
+    ops += 1;
   }
-  void add(double work, double seconds, double sample) {
-    add(work, seconds, std::vector<double>{sample});
-  }
-
-  struct Quiet {
-    std::vector<double> samples;
-    double work = 0.0, seconds = 0.0;
-    std::size_t windows = 0, of = 0;
-    double rate() const { return seconds > 0.0 ? work / seconds : 0.0; }
-  };
-  /// The quiet windows, pooled.
-  Quiet quiet() const {
-    std::vector<const W*> used;
-    for (const W& w : w_) {
-      if (w.seconds > 0.0) used.push_back(&w);
-    }
-    std::sort(used.begin(), used.end(),
-              [](const W* a, const W* b) { return a->work / a->seconds > b->work / b->seconds; });
-    Quiet q;
-    q.of = used.size();
-    q.windows = std::min(used.size(), std::max<std::size_t>(1, static_cast<std::size_t>(
-                                                                   kQuietShare * q.of + 0.5)));
-    for (std::size_t i = 0; i < q.windows; ++i) {
-      q.work += used[i]->work;
-      q.seconds += used[i]->seconds;
-      q.samples.insert(q.samples.end(), used[i]->samples.begin(), used[i]->samples.end());
-    }
-    return q;
-  }
-  /// Every sample, quiet or not.
-  const std::vector<double>& all() const { return all_; }
-  std::size_t ops() const { return ops_; }
-
- private:
-  struct W {
-    double work = 0.0, seconds = 0.0;
-    std::vector<double> samples;
-  };
-  Clock::time_point t0_;
-  std::vector<W> w_;
-  std::vector<double> all_;
-  std::size_t ops_ = 0;
+  void add(double w, double s, double sample) { add(w, s, std::vector<double>{sample}); }
+  double rate() const { return seconds > 0.0 ? work / seconds : 0.0; }
 };
 
 /// Runs kSegments rounds of `setup()` then `work(traced, seconds)`, so the
-/// set-up samples and the timed windows spread over the whole run. A traced
+/// set-up samples and the timed work spread over the whole run. A traced
 /// run splits each round between plain and traced work, alternating which
 /// goes first. Returns the median set-up time.
 template <typename Setup, typename Work>
@@ -196,9 +154,9 @@ double run_segments(const Options& opt, Setup&& setup, Work&& work) {
 }
 
 /// The host-time end-to-end rows: set-up, work rate and latency percentiles
-/// over the quiet windows of `w`, labelled as the workload names them
+/// over every operation of `t`, labelled as the workload names them
 /// (points_per_s, cycle_us_p50, ...) in the printed table.
-void add_host_metrics(Result& r, double setup_s, const Windows& w, const char* rate_label,
+void add_host_metrics(Result& r, double setup_s, const Timed& t, const char* rate_label,
                       const char* pct_prefix, const char* pct_unit, double pct_scale);
 
 /// Traced run: one reconciliation row. The layer times in `parts` should add
@@ -209,13 +167,39 @@ using Parts = std::vector<std::pair<const char*, double>>;
 double add_reconciliation(Result& r, const Parts& parts, const char* whole, double whole_s,
                           const char* gap);
 
+/// Modelled results of one workload and seed: mean latency and power over
+/// the measured rows (sweeps), app phases (scenarios) or prefix (64x64).
+struct SimValues {
+  double latency_cycles = 0.0, power_mw = 0.0;
+  std::size_t latency_n = 0, power_n = 0;
+};
+
+/// The seed whose modelled results kGoldenFile (relative to the repo root)
+/// pins, one line per workload family: `<key> <sim_latency_cycles>
+/// <sim_power_mw>`.
+inline constexpr std::uint64_t kGoldenSeed = 1;
+inline constexpr const char* kGoldenFile = "perfbench/golden_sim.txt";
+
+/// Checks `golden`, a workload's modelled results for kGoldenSeed, against
+/// the line `key` of kGoldenFile. The sim_* metrics move with the seed, so
+/// their bounds cannot pin the model; this check does: a change to the
+/// model fails the run instead of scoring as a metric.
+void check_golden(Result& r, const char* key, const SimValues& golden);
+
+/// The sim_latency_cycles and sim_power_mw rows.
+void add_sim_metrics(Result& r, const SimValues& v);
+
 /// Traced run: mapping.map_ms (mapping::map_app) and smart.preset_ms
 /// (smart::make_smart_network on the mapped flows) per app and config.
 void add_mapping_layers(Result& r, const std::vector<smartnoc::NocConfig>& cfgs,
                         const std::vector<smartnoc::mapping::SocApp>& apps);
 
-/// Traced run: the tracing overhead (plain over traced quiet work rate).
-void add_trace_overhead(Result& r, const Windows& plain, const Windows& traced);
+/// Traced run: sim.era_switch_ms and sim.reconfig_stores over a few
+/// step-driven app-switch scenarios (see scenario.cpp) drawn from `seed`.
+void add_era_switch_layers(Result& r, std::uint64_t seed);
+
+/// Traced run: the tracing overhead (plain over traced work rate).
+void add_trace_overhead(Result& r, const Timed& plain, const Timed& traced);
 
 Result run_sweep_cold(const Options& opt);
 Result run_sweep_warm(const Options& opt);

@@ -80,9 +80,29 @@ bool session_ok(const sim::SessionResult& res) {
   return true;
 }
 
+/// The pool's scenarios for `seed`, parsed from generated scenario text.
+std::vector<sim::ScenarioSpec> make_pool(std::uint64_t seed) {
+  std::vector<sim::ScenarioSpec> specs;
+  for (int i = 0; i < kPool; ++i) {
+    specs.push_back(sim::parse_scenario(scenario_text(i, mix_seed(seed, 100 + i))));
+  }
+  return specs;
+}
+
+/// Runs every scenario of `specs` once with Session::run().
+std::vector<sim::SessionResult> run_pool(Result& r, const std::vector<sim::ScenarioSpec>& specs) {
+  std::vector<sim::SessionResult> results;
+  for (const sim::ScenarioSpec& spec : specs) {
+    sim::Session s(spec);
+    results.push_back(s.run());
+    r.check(session_ok(results.back()), "set-up scenario failed");
+  }
+  return results;
+}
+
 /// Mean modelled latency and power over the pool's measured app phases.
-void add_sim_metrics(Result& r, const std::vector<sim::ScenarioSpec>& specs,
-                     const std::vector<sim::SessionResult>& results) {
+SimValues pool_sim(const std::vector<sim::ScenarioSpec>& specs,
+                   const std::vector<sim::SessionResult>& results) {
   std::vector<double> lat, pw;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const NocConfig& cfg = specs[i].config;
@@ -93,8 +113,7 @@ void add_sim_metrics(Result& r, const std::vector<sim::ScenarioSpec>& specs,
       pw.push_back(power::compute_power(cfg, p.activity, p.cycles_run, ep).total() * 1e3);
     }
   }
-  r.add("sim_latency_cycles", "cycles", mean(lat), lat.size());
-  r.add("sim_power_mw", "mW", mean(pw), pw.size());
+  return SimValues{mean(lat), mean(pw), lat.size(), pw.size()};
 }
 
 /// Per-scenario layer times of a step-driven Session run.
@@ -148,7 +167,24 @@ sim::SessionResult stepped(const sim::ScenarioSpec& spec, Steps& st) {
   return res;
 }
 
+void add_switch_rows(Result& r, const Steps& st) {
+  r.add("sim.era_switch_ms", "ms", st.era_switch / st.switches * 1e3, st.switches);
+  r.add("sim.reconfig_stores", "count", static_cast<double>(st.stores) / st.switches,
+        st.switches);
+}
+
 }  // namespace
+
+void add_era_switch_layers(Result& r, std::uint64_t seed) {
+  constexpr int kScenarios = 4;  ///< 60 era switches
+  Steps st;
+  for (int i = 0; i < kScenarios; ++i) {
+    const sim::SessionResult res =
+        stepped(sim::parse_scenario(scenario_text(i, mix_seed(seed, 100 + i))), st);
+    r.check(session_ok(res), "app-switch scenario failed");
+  }
+  add_switch_rows(r, st);
+}
 
 void add_mapping_layers(Result& r, const std::vector<NocConfig>& cfgs,
                         const std::vector<mapping::SocApp>& apps) {
@@ -176,22 +212,15 @@ Result run_scenario_appswitch(const Options& opt) {
   Result r;
   std::vector<sim::ScenarioSpec> specs;
   std::vector<sim::SessionResult> reference;  ///< the first set-up's results
-  const auto t0 = Clock::now();
-  Windows plain(t0), traced(t0);
+  Timed plain, traced;
   Steps st;
   std::size_t next = 0;
 
   // Set-up: write and parse every scenario, then run each once to record
   // the result all later runs must reproduce.
   const auto setup = [&] {
-    specs.clear();
-    std::vector<sim::SessionResult> results;
-    for (int i = 0; i < kPool; ++i) {
-      specs.push_back(sim::parse_scenario(scenario_text(i, mix_seed(opt.seed, 100 + i))));
-      sim::Session s(specs.back());
-      results.push_back(s.run());
-      r.check(session_ok(results.back()), "set-up scenario failed");
-    }
+    specs = make_pool(opt.seed);
+    const std::vector<sim::SessionResult> results = run_pool(r, specs);
     if (reference.empty()) reference = results;
     for (int i = 0; i < kPool; ++i) {
       r.check(same_phases(results[i], reference[i]), "set-up scenario differs between set-ups");
@@ -219,19 +248,24 @@ Result run_scenario_appswitch(const Options& opt) {
   };
 
   const double setup_s = run_segments(opt, setup, work);
+  const SimValues sim = pool_sim(specs, reference);
+  SimValues golden = sim;
+  if (opt.seed != kGoldenSeed) {
+    const std::vector<sim::ScenarioSpec> pool = make_pool(kGoldenSeed);
+    golden = pool_sim(pool, run_pool(r, pool));
+  }
+  check_golden(r, "scenario", golden);
   if (!opt.trace) {
     add_host_metrics(r, setup_s, plain, "scenarios_per_s", "scenario_ms", "ms", 1.0);
     r.add("peak_rss_mb", "MB", peak_rss_mb(), 1);
-    add_sim_metrics(r, specs, reference);
+    add_sim_metrics(r, sim);
     return r;
   }
 
-  r.add("sim.era_switch_ms", "ms", st.era_switch / st.switches * 1e3, st.switches);
-  r.add("sim.reconfig_stores", "count", static_cast<double>(st.stores) / st.switches,
-        st.switches);
+  add_switch_rows(r, st);
   r.add("noc.xbar_flits_per_cycle", "count", static_cast<double>(st.xbar_flits) / st.cycles,
-        traced.ops());
-  r.add("noc.ns_per_xbar_flit", "ns", st.ticking / st.xbar_flits * 1e9, traced.ops());
+        traced.ops);
+  r.add("noc.ns_per_xbar_flit", "ns", st.ticking / st.xbar_flits * 1e9, traced.ops);
   add_mapping_layers(r, {specs.front().config},
                      {mapping::kAllApps.begin(), mapping::kAllApps.end()});
 
@@ -240,7 +274,7 @@ Result run_scenario_appswitch(const Options& opt) {
                            {{"era switches", st.era_switch}, {"initial build", st.initial_build},
                             {"ticking", st.ticking}},
                            "scenario wall", st.wall, "Session construction and result assembly"),
-        traced.ops());
+        traced.ops);
   add_trace_overhead(r, plain, traced);
   return r;
 }

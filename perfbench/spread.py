@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Runs the benchmark several times per workload and reports run-to-run spread.
 
-    python3 perfbench/spread.py [--runs 10] [--first-seed 1] [--trace 0|1]
+    python3 perfbench/spread.py [--runs 10] [--trace 0|1]
                                 [--workloads a,b] [--out perfbench/baseline.json]
                                 [--note "what was measured"]
 
-For every workload it runs `perfbench/run.py` once per seed (first-seed,
-first-seed+1, ...), then prints, per metric, the median and the
+For every workload it runs `perfbench/run.py` once per seed (1, 2, ...,
+runs), then prints, per metric, the median and the
 interquartile range as a share of the median (statistics.quantiles, n=4),
 next to the bound BENCHMARK.json fixes for that metric. With --out it
 writes every run's values plus the machine fingerprint as JSON: the record a
@@ -39,7 +39,6 @@ def run_once(workload, seed, seconds, trace):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--trace", type=int, default=0)
     ap.add_argument("--workloads", default="")
     ap.add_argument("--out", default="")
@@ -51,7 +50,7 @@ def main():
     bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
     workloads = args.workloads.split(",") if args.workloads else [
         w["name"] for w in bench["workloads"]]
-    seeds = list(range(args.first_seed, args.first_seed + args.runs))
+    seeds = list(range(1, args.runs + 1))
 
     record = {"seconds": bench["run_seconds"], "trace": args.trace, "seeds": seeds,
               "note": args.note, "fingerprint": None, "workloads": {}}

@@ -193,7 +193,7 @@ Invocation invoke(const std::vector<explore::SweepSpec>& grid, const std::string
 }
 
 /// Modelled results of a sweep: mean latency and power over its ok rows.
-void add_sim_metrics(Result& r, const std::vector<std::string>& csv) {
+SimValues sweep_sim(const std::vector<std::string>& csv) {
   std::vector<double> lat, pw;
   for (const std::string& text : csv) {
     const explore::ResultTable table = explore::ResultTable::from_csv(text);
@@ -203,8 +203,7 @@ void add_sim_metrics(Result& r, const std::vector<std::string>& csv) {
       pw.push_back(rec.power_mw);
     }
   }
-  r.add("sim_latency_cycles", "cycles", mean(lat), lat.size());
-  r.add("sim_power_mw", "mW", mean(pw), pw.size());
+  return SimValues{mean(lat), mean(pw), lat.size(), pw.size()};
 }
 
 /// Serial pass over the cold grid, one Session per point: era build (Session
@@ -291,8 +290,7 @@ void add_layers(Result& r, const Options& opt, const Layers& t) {
 Result run_sweep_workload(const Options& opt, bool warm) {
   Result r;
   SweepState st;
-  const auto t0 = Clock::now();
-  Windows plain(t0), traced(t0);
+  Timed plain, traced;
   Layers layers;
   std::string cold_dir;
 
@@ -320,7 +318,7 @@ Result run_sweep_workload(const Options& opt, bool warm) {
       r.check(inv.csv == st.reference_csv,
               std::string(warm ? "warm" : "cold") + " table differs from the set-up table");
       const double points = static_cast<double>(inv.points);
-      Windows& w = trace ? traced : plain;
+      Timed& w = trace ? traced : plain;
       if (warm) w.add(points, inv.t.wall, inv.t.wall * 1e3);
       else w.add(points, inv.t.wall, inv.point_ms);
       if (trace) layers.add(inv.t);
@@ -333,12 +331,21 @@ Result run_sweep_workload(const Options& opt, bool warm) {
     const Invocation served = invoke(st.grid, cold_dir, opt.threads, Timing::None);
     r.check(served.csv == st.reference_csv, "cold-filled cache serves a different table");
   }
+  const SimValues sim = sweep_sim(st.reference_csv);
+  SimValues golden = sim;
+  if (opt.seed != kGoldenSeed) {
+    const Invocation inv =
+        invoke(make_grid(kGoldenSeed), fresh_dir(opt, "golden"), opt.threads, Timing::None);
+    r.check(inv.failed == 0, "golden-seed sweep has failed rows");
+    golden = sweep_sim(inv.csv);
+  }
+  check_golden(r, "sweep", golden);
 
   if (!opt.trace) {
     add_host_metrics(r, setup_s, plain, "points_per_s", warm ? "sweep_ms" : "point_ms", "ms",
                      1.0);
     r.add("peak_rss_mb", "MB", peak_rss_mb(), 1);
-    add_sim_metrics(r, st.reference_csv);
+    add_sim_metrics(r, sim);
     return r;
   }
 
@@ -362,6 +369,8 @@ Result run_sweep_workload(const Options& opt, bool warm) {
       cfgs.push_back(cfg);
     }
     add_mapping_layers(r, cfgs, {mapping::SocApp::VOPD, mapping::SocApp::H264});
+    // The grid never switches eras; a few app-switch scenarios do.
+    add_era_switch_layers(r, opt.seed);
   }
   return r;
 }
