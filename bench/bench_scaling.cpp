@@ -164,7 +164,7 @@ void paper_scaling_study() {
   std::puts("=== Scaling: Mesh vs SMART latency as the chip grows ===\n");
   TextTable t({"mesh", "pattern", "avg hops", "Mesh (cyc)", "SMART (cyc)", "saving",
                "HPC segments/route"});
-  for (const auto [w, h] : {std::pair{4, 4}, std::pair{6, 6}, std::pair{8, 8}}) {
+  for (const auto& [w, h] : {std::pair{4, 4}, std::pair{6, 6}, std::pair{8, 8}}) {
     NocConfig cfg = NocConfig::paper_4x4();
     cfg.width = w;
     cfg.height = h;
@@ -211,7 +211,7 @@ void paper_scaling_study() {
   // Zero-load distance scaling: one lone corner-to-corner flow.
   std::puts("\n--- zero-load corner-to-corner (lone flow) ---");
   TextTable z({"mesh", "hops", "Mesh (cyc)", "SMART (cyc)", "speedup"});
-  for (const auto [w, h] : {std::pair{4, 4}, std::pair{6, 6}, std::pair{8, 8}}) {
+  for (const auto& [w, h] : {std::pair{4, 4}, std::pair{6, 6}, std::pair{8, 8}}) {
     NocConfig cfg = NocConfig::paper_4x4();
     cfg.width = w;
     cfg.height = h;

@@ -1,10 +1,11 @@
 #include "explore/result_sink.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <type_traits>
+#include <variant>
 
 #include "common/error.hpp"
 #include "common/float_io.hpp"
+#include "common/json.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
 
@@ -12,19 +13,8 @@ namespace smartnoc::explore {
 
 namespace {
 
-// Shortest decimal that recovers the exact bit pattern on re-read: the
-// serving cache and job checkpoints store these strings and must hand back
-// records bit-identical to freshly computed ones.
-std::string fmt_double(double v) { return format_double_rt(v); }
-
-double parse_double(const std::string& s) { return parse_double_rt(s, "ResultTable number"); }
-
 std::string fmt_u64(std::uint64_t v) {
   return strf("%llu", static_cast<unsigned long long>(v));
-}
-
-std::uint64_t parse_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
 }
 
 std::string csv_quote(const std::string& s) {
@@ -68,85 +58,116 @@ std::vector<std::string> csv_split(const std::string& line) {
   return out;
 }
 
-constexpr const char* kCsvHeader =
-    "index,width,height,flit_bits,hpc_max,injection,workload,fault_rate,fault_schedule,"
-    "design,seed,ok,error,flows,dropped_flows,packets,avg_net_latency,avg_total_latency,"
-    "p50_latency,p99_latency,max_latency,throughput_ppc,power_mw,area_mm2,"
-    "packets_offered,packets_dropped,packets_retransmitted,flows_rerouted,flows_failed";
-constexpr int kCsvColumns = 29;
+// --- The RunRecord column table ----------------------------------------------
 
-// --- Minimal JSON reader (exactly the subset ResultTable emits) --------------
+using Member = std::variant<std::uint64_t RunRecord::*, int RunRecord::*, double RunRecord::*,
+                            bool RunRecord::*, std::string RunRecord::*>;
 
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : s_(text) {}
-
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' ||
-                                s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool peek(char c) {
-    skip_ws();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      throw ConfigError(strf("JSON parse error at byte %zu: expected '%c'", pos_, c));
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (!peek(c)) return false;
-    ++pos_;
-    return true;
-  }
-
-  std::string read_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) throw ConfigError("JSON: truncated \\u escape");
-            c = static_cast<char>(std::strtol(s_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default: c = esc; break;  // \" \\ \/
-        }
-      }
-      out += c;
-    }
-    expect('"');
-    return out;
-  }
-
-  std::string read_scalar_token() {
-    skip_ws();
-    std::size_t start = pos_;
-    while (pos_ < s_.size() && s_[pos_] != ',' && s_[pos_] != '}' && s_[pos_] != ']' &&
-           !std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-    return s_.substr(start, pos_ - start);
-  }
-
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
+struct Column {
+  const char* name;
+  Member member;  ///< its type picks the codec
 };
+
+/// The columns in CSV/JSON order: the CSV header, to_csv/from_csv and
+/// record_to_json/record_from_json are all generated from this one list.
+/// Doubles use the shortest round-trip rendering (common/float_io.hpp), so
+/// parsing recovers them bit-exactly, non-finite values included.
+constexpr Column kColumns[] = {
+    {"index", &RunRecord::index},
+    {"width", &RunRecord::width},
+    {"height", &RunRecord::height},
+    {"flit_bits", &RunRecord::flit_bits},
+    {"hpc_max", &RunRecord::hpc_max},
+    {"injection", &RunRecord::injection},
+    {"workload", &RunRecord::workload},
+    {"fault_rate", &RunRecord::fault_rate},
+    {"fault_schedule", &RunRecord::fault_schedule},
+    {"design", &RunRecord::design},
+    {"seed", &RunRecord::seed},
+    {"ok", &RunRecord::ok},
+    {"error", &RunRecord::error},
+    {"flows", &RunRecord::flows},
+    {"dropped_flows", &RunRecord::dropped_flows},
+    {"packets", &RunRecord::packets},
+    {"avg_net_latency", &RunRecord::avg_net_latency},
+    {"avg_total_latency", &RunRecord::avg_total_latency},
+    {"p50_latency", &RunRecord::p50_latency},
+    {"p99_latency", &RunRecord::p99_latency},
+    {"max_latency", &RunRecord::max_latency},
+    {"throughput_ppc", &RunRecord::throughput_ppc},
+    {"power_mw", &RunRecord::power_mw},
+    {"area_mm2", &RunRecord::area_mm2},
+    {"packets_offered", &RunRecord::packets_offered},
+    {"packets_dropped", &RunRecord::packets_dropped},
+    {"packets_retransmitted", &RunRecord::packets_retransmitted},
+    {"flows_rerouted", &RunRecord::flows_rerouted},
+    {"flows_failed", &RunRecord::flows_failed},
+};
+
+/// One cell as CSV (strings quoted, flags 1/0) or JSON text.
+std::string format_cell(const RunRecord& r, const Column& col, bool json) {
+  return std::visit(
+      [&](auto m) -> std::string {
+        const auto& v = r.*m;
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return json ? '"' + json_escape(v) + '"' : csv_quote(v);
+        } else if constexpr (std::is_same_v<T, bool>) {
+          return json ? (v ? "true" : "false") : (v ? "1" : "0");
+        } else if constexpr (std::is_same_v<T, double>) {
+          return format_double_rt(v);
+        } else {
+          return std::to_string(v);
+        }
+      },
+      col.member);
+}
+
+/// Sets one cell from a CSV field or a JSON value's text; numbers and flags
+/// must parse in full.
+void parse_cell(RunRecord& r, const Column& col, const std::string& tok) {
+  std::visit(
+      [&](auto m) {
+        auto& v = r.*m;
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>) v = tok;
+        else if constexpr (std::is_same_v<T, bool>) v = parse_bool_token(tok, col.name);
+        else if constexpr (std::is_same_v<T, double>) v = parse_double_rt(tok, col.name);
+        else if constexpr (std::is_same_v<T, int>) v = parse_int_token(tok, col.name);
+        else v = parse_u64_token(tok, col.name);
+      },
+      col.member);
+}
+
+json::Value::Kind json_kind(const Column& col) {
+  using Kind = json::Value::Kind;
+  if (std::holds_alternative<std::string RunRecord::*>(col.member)) return Kind::String;
+  if (std::holds_alternative<bool RunRecord::*>(col.member)) return Kind::Bool;
+  return Kind::Number;
+}
+
+const Column& find_column(const std::string& name) {
+  for (const Column& col : kColumns) {
+    if (name == col.name) return col;
+  }
+  throw ConfigError("JSON: unknown ResultTable key '" + name + "'");
+}
+
+RunRecord record_from_value(const json::Value& v) {
+  if (v.kind != json::Value::Kind::Object) throw ConfigError("JSON: a record must be an object");
+  RunRecord r;
+  for (const auto& [key, value] : v.members) {
+    const Column& col = find_column(key);
+    parse_cell(r, col, value.as(json_kind(col), key));
+  }
+  return r;
+}
+
+std::string csv_header() {
+  std::string out;
+  for (const Column& col : kColumns) out += (out.empty() ? "" : ",") + std::string(col.name);
+  return out;
+}
 
 }  // namespace
 
@@ -157,33 +178,23 @@ std::size_t ResultTable::ok_count() const {
 }
 
 std::string ResultTable::to_csv() const {
-  std::string out = kCsvHeader;
+  std::string out = csv_header();
   out += '\n';
   for (const auto& r : rows_) {
-    out += fmt_u64(r.index) + ',' + strf("%d,%d,%d,%d,", r.width, r.height, r.flit_bits,
-                                         r.hpc_max);
-    out += fmt_double(r.injection) + ',' + csv_quote(r.workload) + ',' +
-           fmt_double(r.fault_rate) + ',' + csv_quote(r.fault_schedule) + ',' +
-           csv_quote(r.design) + ',' + fmt_u64(r.seed) + ',';
-    out += (r.ok ? "1," : "0,");
-    out += csv_quote(r.error) + ',';
-    out += strf("%d,%d,", r.flows, r.dropped_flows) + fmt_u64(r.packets) + ',';
-    out += fmt_double(r.avg_net_latency) + ',' + fmt_double(r.avg_total_latency) + ',' +
-           fmt_double(r.p50_latency) + ',' + fmt_double(r.p99_latency) + ',' +
-           fmt_double(r.max_latency) + ',' + fmt_double(r.throughput_ppc) + ',' +
-           fmt_double(r.power_mw) + ',' + fmt_double(r.area_mm2) + ',';
-    out += fmt_u64(r.packets_offered) + ',' + fmt_u64(r.packets_dropped) + ',' +
-           fmt_u64(r.packets_retransmitted) + ',' + fmt_u64(r.flows_rerouted) + ',' +
-           fmt_u64(r.flows_failed);
+    for (const Column& col : kColumns) {
+      if (&col != kColumns) out += ',';
+      out += format_cell(r, col, false);
+    }
     out += '\n';
   }
   return out;
 }
 
 ResultTable ResultTable::from_csv(const std::string& text) {
+  const std::string header = csv_header();
   ResultTable out;
   std::size_t pos = 0;
-  bool header = true;
+  bool header_seen = false;
   while (pos < text.size()) {
     // Find the end of the logical row: newlines inside quoted fields (e.g.
     // a multi-line error message) do not terminate it.
@@ -196,83 +207,29 @@ ResultTable ResultTable::from_csv(const std::string& text) {
     const std::string line = text.substr(pos, nl - pos);
     pos = nl + 1;
     if (line.empty()) continue;
-    if (header) {
-      if (line != kCsvHeader) throw ConfigError("CSV header does not match ResultTable format");
-      header = false;
+    if (!header_seen) {
+      if (line != header) throw ConfigError("CSV header does not match ResultTable format");
+      header_seen = true;
       continue;
     }
     const auto f = csv_split(line);
-    if (static_cast<int>(f.size()) != kCsvColumns) {
-      throw ConfigError(strf("CSV row has %zu columns, expected %d", f.size(), kCsvColumns));
+    if (f.size() != std::size(kColumns)) {
+      throw ConfigError(strf("CSV row has %zu columns, expected %zu", f.size(), std::size(kColumns)));
     }
     RunRecord r;
-    int i = 0;
-    r.index = parse_u64(f[i++]);
-    r.width = std::atoi(f[i++].c_str());
-    r.height = std::atoi(f[i++].c_str());
-    r.flit_bits = std::atoi(f[i++].c_str());
-    r.hpc_max = std::atoi(f[i++].c_str());
-    r.injection = parse_double(f[i++]);
-    r.workload = f[i++];
-    r.fault_rate = parse_double(f[i++]);
-    r.fault_schedule = f[i++];
-    r.design = f[i++];
-    r.seed = parse_u64(f[i++]);
-    r.ok = f[i++] == "1";
-    r.error = f[i++];
-    r.flows = std::atoi(f[i++].c_str());
-    r.dropped_flows = std::atoi(f[i++].c_str());
-    r.packets = parse_u64(f[i++]);
-    r.avg_net_latency = parse_double(f[i++]);
-    r.avg_total_latency = parse_double(f[i++]);
-    r.p50_latency = parse_double(f[i++]);
-    r.p99_latency = parse_double(f[i++]);
-    r.max_latency = parse_double(f[i++]);
-    r.throughput_ppc = parse_double(f[i++]);
-    r.power_mw = parse_double(f[i++]);
-    r.area_mm2 = parse_double(f[i++]);
-    r.packets_offered = parse_u64(f[i++]);
-    r.packets_dropped = parse_u64(f[i++]);
-    r.packets_retransmitted = parse_u64(f[i++]);
-    r.flows_rerouted = parse_u64(f[i++]);
-    r.flows_failed = parse_u64(f[i++]);
+    for (std::size_t i = 0; i < f.size(); ++i) parse_cell(r, kColumns[i], f[i]);
     out.add(std::move(r));
   }
   return out;
 }
 
 std::string record_to_json(const RunRecord& r) {
-  std::string out;
-  {
-    out += '{';
-    out += "\"index\": " + fmt_u64(r.index);
-    out += strf(", \"width\": %d, \"height\": %d, \"flit_bits\": %d, \"hpc_max\": %d", r.width,
-                r.height, r.flit_bits, r.hpc_max);
-    out += ", \"injection\": " + fmt_double(r.injection);
-    out += ", \"workload\": \"" + json_escape(r.workload) + '"';
-    out += ", \"fault_rate\": " + fmt_double(r.fault_rate);
-    out += ", \"fault_schedule\": \"" + json_escape(r.fault_schedule) + '"';
-    out += ", \"design\": \"" + json_escape(r.design) + '"';
-    out += ", \"seed\": " + fmt_u64(r.seed);
-    out += std::string(", \"ok\": ") + (r.ok ? "true" : "false");
-    out += ", \"error\": \"" + json_escape(r.error) + '"';
-    out += strf(", \"flows\": %d, \"dropped_flows\": %d", r.flows, r.dropped_flows);
-    out += ", \"packets\": " + fmt_u64(r.packets);
-    out += ", \"avg_net_latency\": " + fmt_double(r.avg_net_latency);
-    out += ", \"avg_total_latency\": " + fmt_double(r.avg_total_latency);
-    out += ", \"p50_latency\": " + fmt_double(r.p50_latency);
-    out += ", \"p99_latency\": " + fmt_double(r.p99_latency);
-    out += ", \"max_latency\": " + fmt_double(r.max_latency);
-    out += ", \"throughput_ppc\": " + fmt_double(r.throughput_ppc);
-    out += ", \"power_mw\": " + fmt_double(r.power_mw);
-    out += ", \"area_mm2\": " + fmt_double(r.area_mm2);
-    out += ", \"packets_offered\": " + fmt_u64(r.packets_offered);
-    out += ", \"packets_dropped\": " + fmt_u64(r.packets_dropped);
-    out += ", \"packets_retransmitted\": " + fmt_u64(r.packets_retransmitted);
-    out += ", \"flows_rerouted\": " + fmt_u64(r.flows_rerouted);
-    out += ", \"flows_failed\": " + fmt_u64(r.flows_failed);
-    out += '}';
+  std::string out = "{";
+  for (const Column& col : kColumns) {
+    if (&col != kColumns) out += ", ";
+    out += '"' + std::string(col.name) + "\": " + format_cell(r, col, true);
   }
+  out += '}';
   return out;
 }
 
@@ -287,75 +244,15 @@ std::string ResultTable::to_json() const {
   return out;
 }
 
-namespace {
-
-RunRecord read_record_object(JsonReader& rd) {
-  rd.expect('{');
-  RunRecord r;
-  if (!rd.consume('}')) {
-      do {
-        const std::string key = rd.read_string();
-        rd.expect(':');
-        if (key == "workload") {
-          r.workload = rd.read_string();
-        } else if (key == "fault_schedule") {
-          r.fault_schedule = rd.read_string();
-        } else if (key == "design") {
-          r.design = rd.read_string();
-        } else if (key == "error") {
-          r.error = rd.read_string();
-        } else {
-          const std::string tok = rd.read_scalar_token();
-          if (key == "index") r.index = parse_u64(tok);
-          else if (key == "width") r.width = std::atoi(tok.c_str());
-          else if (key == "height") r.height = std::atoi(tok.c_str());
-          else if (key == "flit_bits") r.flit_bits = std::atoi(tok.c_str());
-          else if (key == "hpc_max") r.hpc_max = std::atoi(tok.c_str());
-          else if (key == "injection") r.injection = parse_double(tok);
-          else if (key == "fault_rate") r.fault_rate = parse_double(tok);
-          else if (key == "seed") r.seed = parse_u64(tok);
-          else if (key == "ok") r.ok = tok == "true";
-          else if (key == "flows") r.flows = std::atoi(tok.c_str());
-          else if (key == "dropped_flows") r.dropped_flows = std::atoi(tok.c_str());
-          else if (key == "packets") r.packets = parse_u64(tok);
-          else if (key == "avg_net_latency") r.avg_net_latency = parse_double(tok);
-          else if (key == "avg_total_latency")
-            r.avg_total_latency = parse_double(tok);
-          else if (key == "p50_latency") r.p50_latency = parse_double(tok);
-          else if (key == "p99_latency") r.p99_latency = parse_double(tok);
-          else if (key == "max_latency") r.max_latency = parse_double(tok);
-          else if (key == "throughput_ppc") r.throughput_ppc = parse_double(tok);
-          else if (key == "power_mw") r.power_mw = parse_double(tok);
-          else if (key == "area_mm2") r.area_mm2 = parse_double(tok);
-          else if (key == "packets_offered") r.packets_offered = parse_u64(tok);
-          else if (key == "packets_dropped") r.packets_dropped = parse_u64(tok);
-          else if (key == "packets_retransmitted") r.packets_retransmitted = parse_u64(tok);
-          else if (key == "flows_rerouted") r.flows_rerouted = parse_u64(tok);
-          else if (key == "flows_failed") r.flows_failed = parse_u64(tok);
-          else throw ConfigError("JSON: unknown ResultTable key '" + key + "'");
-        }
-      } while (rd.consume(','));
-      rd.expect('}');
-  }
-  return r;
-}
-
-}  // namespace
-
 RunRecord record_from_json(const std::string& json) {
-  JsonReader rd(json);
-  return read_record_object(rd);
+  return record_from_value(json::parse(json, "record JSON"));
 }
 
 ResultTable ResultTable::from_json(const std::string& text) {
+  const json::Value root = json::parse(text, "ResultTable JSON");
+  if (root.kind != json::Value::Kind::Array) throw ConfigError("ResultTable JSON: expected an array");
   ResultTable out;
-  JsonReader rd(text);
-  rd.expect('[');
-  if (rd.consume(']')) return out;
-  do {
-    out.add(read_record_object(rd));
-  } while (rd.consume(','));
-  rd.expect(']');
+  for (const json::Value& v : root.items) out.add(record_from_value(v));
   return out;
 }
 

@@ -1,12 +1,13 @@
 #include "obs/export.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
 #include "common/error.hpp"
 #include "common/float_io.hpp"
+#include "common/json.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 
 namespace smartnoc::obs {
@@ -96,16 +97,7 @@ std::string to_json(const MetricsRegistry& reg) {
   for (std::size_t i = 0; i < snap.size(); ++i) {
     const MetricSnapshot& s = snap[i];
     out += "  {\"name\": \"" + s.name + "\"";
-    if (!s.label.empty()) {
-      // Label values exclude quotes/backslashes (validated at registration),
-      // so escaping the embedded quotes of key="value" is all JSON needs.
-      std::string esc;
-      for (const char c : s.label) {
-        if (c == '"') esc += "\\\"";
-        else esc += c;
-      }
-      out += ", \"label\": \"" + esc + "\"";
-    }
+    if (!s.label.empty()) out += ", \"label\": \"" + json_escape(s.label) + "\"";
     out += std::string(", \"type\": \"") + metric_kind_name(s.kind) + "\"";
     if (s.kind == MetricKind::Histogram) {
       out += ", \"buckets\": [";
@@ -145,12 +137,7 @@ std::string to_json(const Heartbeat& hb) {
   std::string out = "{";
   out += strf("\"pid\": %lld", hb.pid);
   out += ", \"uptime_seconds\": " + format_double_rt(hb.uptime_seconds);
-  std::string esc;
-  for (const char c : hb.job) {
-    if (c == '"' || c == '\\') esc += '\\';
-    esc += c;
-  }
-  out += ", \"job\": \"" + esc + "\"";
+  out += ", \"job\": \"" + json_escape(hb.job) + "\"";
   out += strf(", \"points_done\": %llu", static_cast<unsigned long long>(hb.points_done));
   out += strf(", \"points_total\": %llu", static_cast<unsigned long long>(hb.points_total));
   out += ", \"points_per_sec\": " + format_double_rt(hb.points_per_sec);
@@ -159,90 +146,24 @@ std::string to_json(const Heartbeat& hb) {
   return out;
 }
 
-namespace {
-
-/// Minimal reader for the flat object to_json(Heartbeat) emits.
-class FlatJson {
- public:
-  explicit FlatJson(const std::string& s) : s_(s) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      throw ConfigError(strf("heartbeat JSON: expected '%c' at byte %zu", c, pos_));
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string read_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) c = s_[pos_++];
-      out += c;
-    }
-    expect('"');
-    return out;
-  }
-
-  std::string read_scalar() {
-    skip_ws();
-    std::string out;
-    while (pos_ < s_.size() && (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                                s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-                                s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      out += s_[pos_++];
-    }
-    if (out.empty()) throw ConfigError(strf("heartbeat JSON: expected number at byte %zu", pos_));
-    return out;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Heartbeat heartbeat_from_json(const std::string& json) {
-  FlatJson rd(json);
+Heartbeat heartbeat_from_json(const std::string& text) {
+  const json::Value root = json::parse(text, "heartbeat JSON");
+  if (root.kind != json::Value::Kind::Object) throw ConfigError("heartbeat JSON: expected an object");
   Heartbeat hb;
-  rd.expect('{');
-  if (!rd.consume('}')) {
-    do {
-      const std::string key = rd.read_string();
-      rd.expect(':');
-      if (key == "job") {
-        hb.job = rd.read_string();
-      } else {
-        const std::string tok = rd.read_scalar();
-        if (key == "pid") hb.pid = std::strtoll(tok.c_str(), nullptr, 10);
-        else if (key == "uptime_seconds") hb.uptime_seconds = parse_double_rt(tok, "uptime");
-        else if (key == "points_done") hb.points_done = std::strtoull(tok.c_str(), nullptr, 10);
-        else if (key == "points_total") hb.points_total = std::strtoull(tok.c_str(), nullptr, 10);
-        else if (key == "points_per_sec") hb.points_per_sec = parse_double_rt(tok, "rate");
-        else if (key == "eta_seconds") hb.eta_seconds = parse_double_rt(tok, "eta");
-        else throw ConfigError("heartbeat JSON: unknown key '" + key + "'");
-      }
-    } while (rd.consume(','));
-    rd.expect('}');
+  for (const auto& [key, v] : root.members) {
+    const char* what = key.c_str();
+    if (key == "job") {
+      hb.job = v.as(json::Value::Kind::String, key);
+      continue;
+    }
+    const std::string& tok = v.as(json::Value::Kind::Number, key);
+    if (key == "pid") hb.pid = parse_int_token(tok, key);
+    else if (key == "uptime_seconds") hb.uptime_seconds = parse_double_rt(tok, what);
+    else if (key == "points_done") hb.points_done = parse_u64_token(tok, key);
+    else if (key == "points_total") hb.points_total = parse_u64_token(tok, key);
+    else if (key == "points_per_sec") hb.points_per_sec = parse_double_rt(tok, what);
+    else if (key == "eta_seconds") hb.eta_seconds = parse_double_rt(tok, what);
+    else throw ConfigError("heartbeat JSON: unknown key '" + key + "'");
   }
   return hb;
 }

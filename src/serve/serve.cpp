@@ -185,7 +185,7 @@ explore::SweepHooks cache_hooks(ResultCache& cache) {
     stamp_point_echo(pt, scenario, rec);
     return true;
   };
-  hooks.store = [&cache, memo](const explore::SweepSpec& spec, const explore::RunPoint& pt,
+  hooks.store = [&cache, memo](const explore::SweepSpec&, const explore::RunPoint& pt,
                                const explore::RunRecord& rec) {
     Hash128 key;
     {

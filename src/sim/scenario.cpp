@@ -1,13 +1,14 @@
 #include "sim/scenario.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/parse.hpp"
 #include "sim/workload.hpp"
 #include "telemetry/trace_workload.hpp"
@@ -47,9 +48,228 @@ std::vector<PhaseSpec> classic_phases(const NocConfig& cfg) {
   return {warmup, measure, drain};
 }
 
+// --- The scalar field table --------------------------------------------------
+
+namespace {
+
+/// A string that must survive the text form: no '#' (comment), no control
+/// character (line break) and no leading or trailing space (trimmed).
+struct Text {
+  std::string* s;
+};
+/// A Text that must also hold no space (the phase line splits on it).
+struct Token {
+  std::string* s;
+};
+
+/// Where a key's value lives; the alternative picks its codec. NocConfig*
+/// is the mesh codec ("WxH", width and height).
+using Slot = std::variant<int*, std::uint64_t*, double*, bool*, Text, Token, Design*, RoutingPolicy*,
+                          noc::BernoulliMode*, NocConfig*>;
+
+struct Scalar {
+  const char* key;
+  Slot (*slot)(ScenarioSpec&);
+  /// Written only when it differs from the default, so files from before
+  /// the key existed round-trip byte for byte.
+  bool omit_default = false;
+};
+
+template <auto M> Slot top(ScenarioSpec& s) { return &(s.*M); }
+template <auto M> Slot cfg(ScenarioSpec& s) { return &(s.config.*M); }
+template <auto M> Slot tel(ScenarioSpec& s) { return &(s.telemetry.*M); }
+template <auto M> Slot path(ScenarioSpec& s) { return Token{&(s.telemetry.*M)}; }
+Slot name(ScenarioSpec& s) { return Text{&s.name}; }
+
+/// Every scenario-level key, in serialization order: the text and JSON
+/// parsers and both serializers are generated from this one list.
+const Scalar kScalars[] = {
+    {"name", name},
+    {"design", top<&ScenarioSpec::design>},
+    {"mesh", top<&ScenarioSpec::config>},
+    {"flit_bits", cfg<&NocConfig::flit_bits>},
+    {"packet_bits", cfg<&NocConfig::packet_bits>},
+    {"vcs", cfg<&NocConfig::vcs_per_port>},
+    {"vc_depth", cfg<&NocConfig::vc_depth_flits>},
+    {"freq_ghz", cfg<&NocConfig::freq_ghz>},
+    {"hop_mm", cfg<&NocConfig::hop_mm>},
+    {"hpc", cfg<&NocConfig::hpc_max_override>},
+    {"routing", cfg<&NocConfig::routing>},
+    {"seed", cfg<&NocConfig::seed>},
+    {"warmup", cfg<&NocConfig::warmup_cycles>},
+    {"measure", cfg<&NocConfig::measure_cycles>},
+    {"drain_timeout", cfg<&NocConfig::drain_timeout>},
+    {"bandwidth_scale", cfg<&NocConfig::bandwidth_scale>},
+    {"fault_rate", top<&ScenarioSpec::fault_rate>},
+    {"single_config_core", top<&ScenarioSpec::single_config_core>},
+    {"store_issue", top<&ScenarioSpec::store_issue_cycles>},
+    {"traffic_mode", top<&ScenarioSpec::traffic_mode>},
+    {"reference_kernel", top<&ScenarioSpec::use_reference_kernel>},
+    {"watchdog", cfg<&NocConfig::watchdog_window>, true},
+    {"retry_limit", cfg<&NocConfig::retry_limit>, true},
+    {"retry_backoff", cfg<&NocConfig::retry_backoff_cycles>, true},
+    {"shard_threads", cfg<&NocConfig::shard_threads>, true},
+    {"telemetry_epoch", tel<&TelemetrySpec::epoch_cycles>, true},
+    {"record_trace", path<&TelemetrySpec::record_trace>, true},
+    {"telemetry_csv", path<&TelemetrySpec::csv>, true},
+    {"telemetry_power_csv", path<&TelemetrySpec::power_csv>, true},
+    {"telemetry_heatmap", path<&TelemetrySpec::heatmap>, true},
+    {"telemetry_chrome", path<&TelemetrySpec::chrome>, true},
+    {"telemetry_chrome_events", tel<&TelemetrySpec::chrome_events>, true},
+};
+
+/// A row's slot for reading only (the accessors are shared with parsing).
+Slot read(const Scalar& row, const ScenarioSpec& spec) {
+  return row.slot(const_cast<ScenarioSpec&>(spec));
+}
+
+template <class E>
+struct Spelling {
+  const char* name;
+  E value;
+};
+// The first spelling of a value is the one written; later ones are aliases.
+constexpr Spelling<Design> kDesigns[] = {{"mesh", Design::Mesh},
+                                         {"smart", Design::Smart},
+                                         {"dedicated", Design::Dedicated},
+                                         {"baseline", Design::Mesh}};
+constexpr Spelling<RoutingPolicy> kRoutings[] = {{"xy", RoutingPolicy::XY},
+                                                 {"west-first", RoutingPolicy::WestFirst},
+                                                 {"westfirst", RoutingPolicy::WestFirst}};
+constexpr Spelling<noc::BernoulliMode> kTrafficModes[] = {
+    {"per-cycle", noc::BernoulliMode::PerCycle}, {"gap-skip", noc::BernoulliMode::GapSkip}};
+
+constexpr const auto& spellings(Design) { return kDesigns; }
+constexpr const auto& spellings(RoutingPolicy) { return kRoutings; }
+constexpr const auto& spellings(noc::BernoulliMode) { return kTrafficModes; }
+
+std::string fmt_double(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// A slot's value as its token (JSON quotes it unless it is a number or bool).
+std::string encode(const Slot& slot) {
+  return std::visit(
+      [](auto p) -> std::string {
+        using P = decltype(p);
+        if constexpr (std::is_same_v<P, Text> || std::is_same_v<P, Token>) {
+          return *p.s;
+        } else if constexpr (std::is_same_v<P, NocConfig*>) {
+          return std::to_string(p->width) + "x" + std::to_string(p->height);
+        } else if constexpr (std::is_same_v<P, bool*>) {
+          return *p ? "true" : "false";
+        } else if constexpr (std::is_same_v<P, double*>) {
+          return fmt_double(*p);
+        } else if constexpr (std::is_enum_v<std::remove_pointer_t<P>>) {
+          for (const auto& sp : spellings(*p)) {
+            if (sp.value == *p) return sp.name;
+          }
+          return "?";
+        } else {
+          return std::to_string(*p);
+        }
+      },
+      slot);
+}
+
+bool json_quoted(const Slot& slot) {
+  return !std::holds_alternative<int*>(slot) && !std::holds_alternative<std::uint64_t*>(slot) &&
+         !std::holds_alternative<double*>(slot) && !std::holds_alternative<bool*>(slot);
+}
+
+/// Sets a slot from its token; the error names `key`.
+void decode(const Slot& slot, const std::string& tok, const std::string& key) {
+  std::visit(
+      [&](auto p) {
+        using P = decltype(p);
+        if constexpr (std::is_same_v<P, Text> || std::is_same_v<P, Token>) {
+          *p.s = tok;
+        } else if constexpr (std::is_same_v<P, NocConfig*>) {
+          const auto x = tok.find('x');
+          if (x == std::string::npos) throw ConfigError(key + ": expected WxH, got '" + tok + "'");
+          p->width = parse_int_token(tok.substr(0, x), key + " width");
+          p->height = parse_int_token(tok.substr(x + 1), key + " height");
+        } else if constexpr (std::is_same_v<P, bool*>) {
+          *p = parse_bool_token(tok, key);
+        } else if constexpr (std::is_same_v<P, double*>) {
+          *p = parse_double_token(tok, key);
+        } else if constexpr (std::is_same_v<P, int*>) {
+          *p = parse_int_token(tok, key);
+        } else if constexpr (std::is_same_v<P, std::uint64_t*>) {
+          *p = parse_u64_token(tok, key);
+        } else {
+          const std::string t = lower_token(tok);
+          std::string names;
+          for (const auto& sp : spellings(*p)) {
+            if (t == sp.name) {
+              *p = sp.value;
+              return;
+            }
+            names += (names.empty() ? "" : ", ") + std::string(sp.name);
+          }
+          throw ConfigError("unknown " + key + " '" + tok + "' (" + names + ")");
+        }
+      },
+      slot);
+}
+
+/// The string rule of Text (token = false) and Token (token = true).
+void check_string(const std::string& v, const std::string& what, bool token) {
+  bool ok = token || v.empty() || (v.front() != ' ' && v.back() != ' ');
+  for (const char c : v) {
+    ok = ok && c != '#' && !std::iscntrl(static_cast<unsigned char>(c)) && !(token && c == ' ');
+  }
+  if (!ok) {
+    throw ConfigError(what + " \"" + json_escape(v) + "\" contains " +
+                      (token ? "whitespace, '#' or a control character"
+                             : "'#', a control character or edge spaces") +
+                      ", which the scenario text form cannot represent");
+  }
+}
+
+void check_finite(double v, const std::string& what) {
+  if (!std::isfinite(v)) throw ConfigError(what + " must be finite, got " + fmt_double(v));
+}
+
+/// Applies one scenario-level `key = value` assignment (both dialects).
+void apply_scalar(ScenarioSpec& spec, const std::string& key, const std::string& value) {
+  for (const Scalar& row : kScalars) {
+    if (key == row.key) return decode(row.slot(spec), value, key);
+  }
+  throw ConfigError("unknown scenario key '" + key + "'");
+}
+
+/// Calls emit(row, token) for each scalar the serializers write.
+template <class Emit>
+void for_each_written(const ScenarioSpec& spec, Emit emit) {
+  static const ScenarioSpec kDefaults;
+  for (const Scalar& row : kScalars) {
+    const Slot slot = read(row, spec);
+    const std::string tok = encode(slot);
+    if (row.omit_default && tok == encode(read(row, kDefaults))) continue;
+    emit(slot, row.key, tok);
+  }
+}
+
+}  // namespace
+
 void ScenarioSpec::validate() const {
   config.validate();
   if (phases.empty()) throw ConfigError("scenario '" + name + "' declares no phases");
+  // Every string and double obeys the rules under which the text and JSON
+  // forms round-trip (parse -> serialize -> parse is the identity).
+  for (const Scalar& row : kScalars) {
+    std::visit(
+        [&](auto p) {
+          using P = decltype(p);
+          if constexpr (std::is_same_v<P, Text>) check_string(*p.s, row.key, false);
+          if constexpr (std::is_same_v<P, Token>) check_string(*p.s, row.key, true);
+          if constexpr (std::is_same_v<P, double*>) check_finite(*p, row.key);
+        },
+        read(row, *this));
+  }
   if (fault_rate < 0.0 || fault_rate > 1.0) {
     throw ConfigError("fault_rate must be in [0,1]");
   }
@@ -58,21 +278,6 @@ void ScenarioSpec::validate() const {
       telemetry.epoch_cycles == 0) {
     throw ConfigError("telemetry exports need a sample window: set telemetry_epoch > 0");
   }
-  // The line-oriented text form tokenizes on whitespace and strips '#'
-  // comments, so such paths cannot survive a serialize -> parse round
-  // trip; reject them rather than silently truncating.
-  auto check_path = [](const std::string& path, const char* what) {
-    if (path.find_first_of(" \t#") != std::string::npos) {
-      throw ConfigError(std::string(what) + " path '" + path +
-                        "' contains whitespace or '#', which the scenario text form "
-                        "cannot represent");
-    }
-  };
-  check_path(telemetry.record_trace, "record_trace");
-  check_path(telemetry.csv, "telemetry_csv");
-  check_path(telemetry.power_csv, "telemetry_power_csv");
-  check_path(telemetry.heatmap, "telemetry_heatmap");
-  check_path(telemetry.chrome, "telemetry_chrome");
   for (const noc::FaultEventSpec& ev : fault_events) ev.validate(config.dims());
   if (!fault_events.empty() && design == Design::Dedicated) {
     throw ConfigError("fault events target mesh links and routers; the dedicated design "
@@ -81,19 +286,16 @@ void ScenarioSpec::validate() const {
   std::string wl;
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const PhaseSpec& ph = phases[i];
-    const std::string ctx = "phase " + std::to_string(i) + " ('" + ph.name + "')";
+    const std::string ctx = "phase " + std::to_string(i) + " ('" + json_escape(ph.name) + "')";
     if (ph.name.empty()) throw ConfigError("phase " + std::to_string(i) + " has no name");
+    check_string(ph.name, ctx + ": name", true);
+    check_string(ph.workload, ctx + ": workload", true);
+    check_finite(ph.injection, ctx + ": injection");
+    check_finite(ph.fault_rate, ctx + ": fault_rate");
     if (ph.drain && ph.traffic) {
       throw ConfigError(ctx + ": drain phases run with traffic off (add no-traffic)");
     }
-    if (!ph.workload.empty()) {
-      if (ph.workload.find_first_of(" \t#") != std::string::npos) {
-        throw ConfigError(ctx + ": workload key '" + ph.workload +
-                          "' contains whitespace or '#', which the scenario text form "
-                          "cannot represent");
-      }
-      wl = ph.workload;
-    }
+    if (!ph.workload.empty()) wl = ph.workload;
     if (ph.injection < 0.0) throw ConfigError(ctx + ": injection must be >= 0");
     // Negative = the -1.0 inherit sentinel only (an arbitrary negative is
     // a typo that would silently inherit, and would not survive the
@@ -122,94 +324,28 @@ void ScenarioSpec::validate() const {
   }
 }
 
-// --- Shared token parsing ----------------------------------------------------
-
 namespace {
 
-using smartnoc::lower_token;
-using smartnoc::trim_token;
-
-Design parse_design_token(const std::string& tok) {
-  const std::string t = lower_token(tok);
-  if (t == "mesh" || t == "baseline") return Design::Mesh;
-  if (t == "smart") return Design::Smart;
-  if (t == "dedicated") return Design::Dedicated;
-  throw ConfigError("unknown design '" + tok + "' (mesh, smart, dedicated)");
-}
-
-RoutingPolicy parse_routing_token(const std::string& tok) {
-  const std::string t = lower_token(tok);
-  if (t == "xy") return RoutingPolicy::XY;
-  if (t == "west-first" || t == "westfirst") return RoutingPolicy::WestFirst;
-  throw ConfigError("unknown routing policy '" + tok + "' (xy, west-first)");
-}
-
-noc::BernoulliMode parse_traffic_mode_token(const std::string& tok) {
-  const std::string t = lower_token(tok);
-  if (t == "per-cycle") return noc::BernoulliMode::PerCycle;
-  if (t == "gap-skip") return noc::BernoulliMode::GapSkip;
-  throw ConfigError("unknown traffic_mode '" + tok + "' (per-cycle, gap-skip)");
-}
-
-void parse_mesh_token(const std::string& tok, NocConfig& cfg) {
-  const auto x = tok.find('x');
-  if (x == std::string::npos) throw ConfigError("mesh: expected WxH, got '" + tok + "'");
-  cfg.width = parse_int_token(tok.substr(0, x), "mesh width");
-  cfg.height = parse_int_token(tok.substr(x + 1), "mesh height");
-}
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-const char* routing_name(RoutingPolicy p) {
-  return p == RoutingPolicy::XY ? "xy" : "west-first";
-}
-
-/// Applies one scenario-level `key = value` assignment (shared by the text
-/// and JSON front-ends so both dialects accept exactly the same keys).
-void apply_scalar(ScenarioSpec& spec, const std::string& key, const std::string& value) {
-  NocConfig& cfg = spec.config;
-  if (key == "name") spec.name = value;
-  else if (key == "design") spec.design = parse_design_token(value);
-  else if (key == "mesh") parse_mesh_token(value, cfg);
-  else if (key == "flit_bits") cfg.flit_bits = parse_int_token(value, "flit_bits");
-  else if (key == "packet_bits") cfg.packet_bits = parse_int_token(value, "packet_bits");
-  else if (key == "vcs") cfg.vcs_per_port = parse_int_token(value, "vcs");
-  else if (key == "vc_depth") cfg.vc_depth_flits = parse_int_token(value, "vc_depth");
-  else if (key == "freq_ghz") cfg.freq_ghz = parse_double_token(value, "freq_ghz");
-  else if (key == "hop_mm") cfg.hop_mm = parse_double_token(value, "hop_mm");
-  else if (key == "hpc") cfg.hpc_max_override = parse_int_token(value, "hpc");
-  else if (key == "routing") cfg.routing = parse_routing_token(value);
-  else if (key == "seed") cfg.seed = parse_u64_token(value, "seed");
-  else if (key == "warmup") cfg.warmup_cycles = parse_u64_token(value, "warmup");
-  else if (key == "measure") cfg.measure_cycles = parse_u64_token(value, "measure");
-  else if (key == "drain_timeout") cfg.drain_timeout = parse_u64_token(value, "drain_timeout");
-  else if (key == "bandwidth_scale") cfg.bandwidth_scale = parse_double_token(value, "bandwidth_scale");
-  else if (key == "fault_rate") spec.fault_rate = parse_double_token(value, "fault_rate");
-  else if (key == "watchdog") cfg.watchdog_window = parse_u64_token(value, "watchdog");
-  else if (key == "retry_limit") cfg.retry_limit = parse_int_token(value, "retry_limit");
-  else if (key == "retry_backoff")
-    cfg.retry_backoff_cycles = parse_u64_token(value, "retry_backoff");
-  else if (key == "shard_threads") cfg.shard_threads = parse_int_token(value, "shard_threads");
-  else if (key == "single_config_core")
-    spec.single_config_core = parse_bool_token(value, "single_config_core");
-  else if (key == "store_issue") spec.store_issue_cycles = parse_u64_token(value, "store_issue");
-  else if (key == "traffic_mode") spec.traffic_mode = parse_traffic_mode_token(value);
-  else if (key == "reference_kernel")
-    spec.use_reference_kernel = parse_bool_token(value, "reference_kernel");
-  else if (key == "telemetry_epoch")
-    spec.telemetry.epoch_cycles = parse_u64_token(value, "telemetry_epoch");
-  else if (key == "record_trace") spec.telemetry.record_trace = value;
-  else if (key == "telemetry_csv") spec.telemetry.csv = value;
-  else if (key == "telemetry_power_csv") spec.telemetry.power_csv = value;
-  else if (key == "telemetry_heatmap") spec.telemetry.heatmap = value;
-  else if (key == "telemetry_chrome") spec.telemetry.chrome = value;
-  else if (key == "telemetry_chrome_events")
-    spec.telemetry.chrome_events = parse_u64_token(value, "telemetry_chrome_events");
-  else throw ConfigError("unknown scenario key '" + key + "'");
+/// Applies one valued phase key shared by both dialects; the fault-rate
+/// key is spelled `fault` in text and `fault_rate` in JSON. Returns false
+/// for any other key.
+bool apply_phase_key(PhaseSpec& ph, const std::string& key, const std::string& value,
+                     const std::string& ctx, const char* fault_key) {
+  if (key == "workload") {
+    ph.workload = normalize_workload_key(value);
+  } else if (key == "injection") {
+    ph.injection = parse_double_token(value, ctx + " injection");
+  } else if (key == "cycles") {
+    ph.cycles = parse_u64_token(value, ctx + " cycles");
+  } else if (key == fault_key) {
+    ph.fault_rate = parse_double_token(value, ctx + " " + key);
+    if (ph.fault_rate < 0.0) {
+      throw ConfigError(ctx + ": fault rate must be in [0,1] (omit the key to inherit)");
+    }
+  } else {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -217,57 +353,11 @@ void apply_scalar(ScenarioSpec& spec, const std::string& key, const std::string&
 // --- Text form ---------------------------------------------------------------
 
 std::string serialize_scenario_text(const ScenarioSpec& spec) {
-  const NocConfig& cfg = spec.config;
   std::ostringstream out;
   out << "# smartnoc scenario\n";
-  out << "name = " << spec.name << "\n";
-  out << "design = " << lower_token(design_name(spec.design)) << "\n";
-  out << "mesh = " << cfg.width << "x" << cfg.height << "\n";
-  out << "flit_bits = " << cfg.flit_bits << "\n";
-  out << "packet_bits = " << cfg.packet_bits << "\n";
-  out << "vcs = " << cfg.vcs_per_port << "\n";
-  out << "vc_depth = " << cfg.vc_depth_flits << "\n";
-  out << "freq_ghz = " << fmt_double(cfg.freq_ghz) << "\n";
-  out << "hop_mm = " << fmt_double(cfg.hop_mm) << "\n";
-  out << "hpc = " << cfg.hpc_max_override << "\n";
-  out << "routing = " << routing_name(cfg.routing) << "\n";
-  out << "seed = " << cfg.seed << "\n";
-  out << "warmup = " << cfg.warmup_cycles << "\n";
-  out << "measure = " << cfg.measure_cycles << "\n";
-  out << "drain_timeout = " << cfg.drain_timeout << "\n";
-  out << "bandwidth_scale = " << fmt_double(cfg.bandwidth_scale) << "\n";
-  out << "fault_rate = " << fmt_double(spec.fault_rate) << "\n";
-  out << "single_config_core = " << (spec.single_config_core ? "true" : "false") << "\n";
-  out << "store_issue = " << spec.store_issue_cycles << "\n";
-  out << "traffic_mode = " << bernoulli_mode_name(spec.traffic_mode) << "\n";
-  out << "reference_kernel = " << (spec.use_reference_kernel ? "true" : "false") << "\n";
-  // Fault-robustness knobs serialize only when set, so pre-fault scenario
-  // files round-trip byte-for-byte.
-  if (cfg.watchdog_window != NocConfig{}.watchdog_window) {
-    out << "watchdog = " << cfg.watchdog_window << "\n";
-  }
-  if (cfg.retry_limit != NocConfig{}.retry_limit) {
-    out << "retry_limit = " << cfg.retry_limit << "\n";
-  }
-  if (cfg.retry_backoff_cycles != NocConfig{}.retry_backoff_cycles) {
-    out << "retry_backoff = " << cfg.retry_backoff_cycles << "\n";
-  }
-  // Like the fault knobs: only when set, so pre-sharding files round-trip.
-  if (cfg.shard_threads != NocConfig{}.shard_threads) {
-    out << "shard_threads = " << cfg.shard_threads << "\n";
-  }
-  // The telemetry block serializes only when configured, so pre-telemetry
-  // scenario files round-trip byte-for-byte.
-  const TelemetrySpec& tel = spec.telemetry;
-  if (tel.epoch_cycles > 0) out << "telemetry_epoch = " << tel.epoch_cycles << "\n";
-  if (!tel.record_trace.empty()) out << "record_trace = " << tel.record_trace << "\n";
-  if (!tel.csv.empty()) out << "telemetry_csv = " << tel.csv << "\n";
-  if (!tel.power_csv.empty()) out << "telemetry_power_csv = " << tel.power_csv << "\n";
-  if (!tel.heatmap.empty()) out << "telemetry_heatmap = " << tel.heatmap << "\n";
-  if (!tel.chrome.empty()) out << "telemetry_chrome = " << tel.chrome << "\n";
-  if (tel.chrome_events != TelemetrySpec{}.chrome_events) {
-    out << "telemetry_chrome_events = " << tel.chrome_events << "\n";
-  }
+  for_each_written(spec, [&](const Slot&, const char* key, const std::string& tok) {
+    out << key << " = " << tok << "\n";
+  });
   for (const noc::FaultEventSpec& ev : spec.fault_events) {
     out << "fault_event " << noc::format_fault_schedule_token({ev}) << "\n";
   }
@@ -301,17 +391,9 @@ PhaseSpec parse_phase_line(const std::string& rest, int line_no) {
     const auto eq = tok.find('=');
     if (eq != std::string::npos) {
       const std::string key = lower_token(tok.substr(0, eq));
-      const std::string value = tok.substr(eq + 1);
-      if (key == "workload") ph.workload = normalize_workload_key(value);
-      else if (key == "injection") ph.injection = parse_double_token(value, ctx + " injection");
-      else if (key == "cycles") ph.cycles = parse_u64_token(value, ctx + " cycles");
-      else if (key == "fault") {
-        ph.fault_rate = parse_double_token(value, ctx + " fault");
-        if (ph.fault_rate < 0.0) {
-          throw ConfigError(ctx + ": fault rate must be in [0,1] (omit the key to inherit)");
-        }
+      if (!apply_phase_key(ph, key, tok.substr(eq + 1), ctx, "fault")) {
+        throw ConfigError(ctx + ": unknown phase key '" + key + "'");
       }
-      else throw ConfigError(ctx + ": unknown phase key '" + key + "'");
     } else {
       const std::string flag = lower_token(tok);
       if (flag == "measure") ph.measure = true;
@@ -367,262 +449,58 @@ ScenarioSpec parse_scenario_text(const std::string& text) {
   return spec;
 }
 
-}  // namespace
-
 // --- JSON form ---------------------------------------------------------------
 
-namespace {
+using Kind = json::Value::Kind;
 
-/// A minimal JSON reader covering the scenario grammar: objects, arrays,
-/// strings (with \" \\ \/ \b \f \n \r \t escapes), numbers, booleans and
-/// null. Numbers keep their raw spelling so 64-bit seeds survive.
-struct JsonValue {
-  enum class Kind { Null, Bool, Number, String, Array, Object } kind = Kind::Null;
-  bool b = false;
-  std::string text;  ///< string value, or the raw spelling of a number
-  std::vector<JsonValue> arr;
-  std::vector<std::pair<std::string, JsonValue>> obj;
-
-  const JsonValue* get(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
+/// Scalar JSON values reach the same decoders as the text form: strings,
+/// numbers and booleans all carry their token in `text`.
+const std::string& scalar_token(const json::Value& v, const std::string& key) {
+  if (v.kind != Kind::String && v.kind != Kind::Number && v.kind != Kind::Bool) {
+    throw ConfigError("scenario JSON: key '" + key + "' must be a scalar");
   }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& s) : s_(s) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing garbage after JSON document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw ConfigError("scenario JSON, offset " + std::to_string(pos_) + ": " + msg);
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "', got '" + peek() + "'");
-    ++pos_;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::Kind::String;
-      v.text = string();
-      return v;
-    }
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      JsonValue v;
-      v.kind = JsonValue::Kind::Bool;
-      v.b = true;
-      return v;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      JsonValue v;
-      v.kind = JsonValue::Kind::Bool;
-      return v;
-    }
-    if (s_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return JsonValue{};
-    }
-    return number();
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Object;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.obj.emplace_back(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Array;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.arr.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          int code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            if (!std::isxdigit(static_cast<unsigned char>(h))) fail("malformed \\u escape");
-            code = code * 16 + (std::isdigit(static_cast<unsigned char>(h))
-                                    ? h - '0'
-                                    : std::tolower(static_cast<unsigned char>(h)) - 'a' + 10);
-          }
-          // Only the Latin-1 range survives as a single byte (our emitter
-          // writes \u only for control characters, all below 0x20).
-          if (code > 0xFF) fail("\\u escape beyond \\u00ff is not supported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default: fail(std::string("unsupported escape '\\") + e + "'");
-      }
-    }
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.text = s_.substr(start, pos_ - start);
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-/// Scalar JSON fields are routed through the same apply_scalar as the text
-/// form: numbers/bools re-use their raw spelling as the token.
-std::string scalar_token(const JsonValue& v, const std::string& key) {
-  switch (v.kind) {
-    case JsonValue::Kind::String: return v.text;
-    case JsonValue::Kind::Number: return v.text;
-    case JsonValue::Kind::Bool: return v.b ? "true" : "false";
-    default: throw ConfigError("scenario JSON: key '" + key + "' must be a scalar");
-  }
+  return v.text;
 }
 
 ScenarioSpec parse_scenario_json(const std::string& text) {
-  const JsonValue root = JsonParser(text).parse();
-  if (root.kind != JsonValue::Kind::Object) {
-    throw ConfigError("scenario JSON: top level must be an object");
-  }
+  const json::Value root = json::parse(text, "scenario JSON");
+  if (root.kind != Kind::Object) throw ConfigError("scenario JSON: top level must be an object");
   ScenarioSpec spec;
   spec.config = NocConfig::paper_4x4();
-  for (const auto& [key, v] : root.obj) {
+  for (const auto& [key, v] : root.members) {
     if (key == "phases") {
-      if (v.kind != JsonValue::Kind::Array) {
-        throw ConfigError("scenario JSON: 'phases' must be an array");
-      }
-      for (const JsonValue& p : v.arr) {
-        if (p.kind != JsonValue::Kind::Object) {
+      if (v.kind != Kind::Array) throw ConfigError("scenario JSON: 'phases' must be an array");
+      for (const json::Value& p : v.items) {
+        if (p.kind != Kind::Object) {
           throw ConfigError("scenario JSON: each phase must be an object");
         }
         PhaseSpec ph;
-        for (const auto& [pk, pv] : p.obj) {
-          if (pk == "name") ph.name = scalar_token(pv, pk);
-          else if (pk == "workload") ph.workload = normalize_workload_key(scalar_token(pv, pk));
-          else if (pk == "injection") ph.injection = parse_double_token(scalar_token(pv, pk), pk);
-          else if (pk == "cycles") ph.cycles = parse_u64_token(scalar_token(pv, pk), pk);
-          else if (pk == "fault_rate") {
-            ph.fault_rate = parse_double_token(scalar_token(pv, pk), pk);
-            if (ph.fault_rate < 0.0) {
-              throw ConfigError(
-                  "scenario JSON: phase fault_rate must be in [0,1] (omit to inherit)");
-            }
+        const std::string ctx = "scenario JSON phase " + std::to_string(spec.phases.size());
+        for (const auto& [pk, pv] : p.members) {
+          const std::string& tok = scalar_token(pv, pk);
+          if (pk == "name") ph.name = tok;
+          else if (pk == "measure") ph.measure = parse_bool_token(tok, pk);
+          else if (pk == "traffic") ph.traffic = parse_bool_token(tok, pk);
+          else if (pk == "drain") ph.drain = parse_bool_token(tok, pk);
+          else if (pk == "reconfigure") ph.reconfigure = parse_bool_token(tok, pk);
+          else if (!apply_phase_key(ph, pk, tok, ctx, "fault_rate")) {
+            throw ConfigError(ctx + ": unknown phase key '" + pk + "'");
           }
-          else if (pk == "measure") ph.measure = parse_bool_token(scalar_token(pv, pk), pk);
-          else if (pk == "traffic") ph.traffic = parse_bool_token(scalar_token(pv, pk), pk);
-          else if (pk == "drain") ph.drain = parse_bool_token(scalar_token(pv, pk), pk);
-          else if (pk == "reconfigure")
-            ph.reconfigure = parse_bool_token(scalar_token(pv, pk), pk);
-          else throw ConfigError("scenario JSON: unknown phase key '" + pk + "'");
         }
         if (ph.drain) ph.traffic = false;
         spec.phases.push_back(std::move(ph));
       }
-      continue;
-    }
-    if (key == "fault_events") {
-      if (v.kind != JsonValue::Kind::Array) {
+    } else if (key == "fault_events") {
+      if (v.kind != Kind::Array) {
         throw ConfigError("scenario JSON: 'fault_events' must be an array of schedule tokens");
       }
-      for (const JsonValue& t : v.arr) {
-        if (t.kind != JsonValue::Kind::String) {
-          throw ConfigError("scenario JSON: each fault event must be a token string");
-        }
-        const auto evs = noc::parse_fault_schedule_token(t.text);
+      for (const json::Value& t : v.items) {
+        const auto evs = noc::parse_fault_schedule_token(t.as(Kind::String, "fault event"));
         spec.fault_events.insert(spec.fault_events.end(), evs.begin(), evs.end());
       }
-      continue;
+    } else {
+      apply_scalar(spec, key, scalar_token(v, key));
     }
-    apply_scalar(spec, key, scalar_token(v, key));
   }
   spec.config.fit_derived();
   spec.validate();
@@ -632,60 +510,12 @@ ScenarioSpec parse_scenario_json(const std::string& text) {
 }  // namespace
 
 std::string serialize_scenario_json(const ScenarioSpec& spec) {
-  const NocConfig& cfg = spec.config;
   std::ostringstream out;
   out << "{\n";
-  out << "  \"name\": \"" << json_escape(spec.name) << "\",\n";
-  out << "  \"design\": \"" << lower_token(design_name(spec.design)) << "\",\n";
-  out << "  \"mesh\": \"" << cfg.width << "x" << cfg.height << "\",\n";
-  out << "  \"flit_bits\": " << cfg.flit_bits << ",\n";
-  out << "  \"packet_bits\": " << cfg.packet_bits << ",\n";
-  out << "  \"vcs\": " << cfg.vcs_per_port << ",\n";
-  out << "  \"vc_depth\": " << cfg.vc_depth_flits << ",\n";
-  out << "  \"freq_ghz\": " << fmt_double(cfg.freq_ghz) << ",\n";
-  out << "  \"hop_mm\": " << fmt_double(cfg.hop_mm) << ",\n";
-  out << "  \"hpc\": " << cfg.hpc_max_override << ",\n";
-  out << "  \"routing\": \"" << routing_name(cfg.routing) << "\",\n";
-  out << "  \"seed\": " << cfg.seed << ",\n";
-  out << "  \"warmup\": " << cfg.warmup_cycles << ",\n";
-  out << "  \"measure\": " << cfg.measure_cycles << ",\n";
-  out << "  \"drain_timeout\": " << cfg.drain_timeout << ",\n";
-  out << "  \"bandwidth_scale\": " << fmt_double(cfg.bandwidth_scale) << ",\n";
-  out << "  \"fault_rate\": " << fmt_double(spec.fault_rate) << ",\n";
-  out << "  \"single_config_core\": " << (spec.single_config_core ? "true" : "false") << ",\n";
-  out << "  \"store_issue\": " << spec.store_issue_cycles << ",\n";
-  out << "  \"traffic_mode\": \"" << bernoulli_mode_name(spec.traffic_mode) << "\",\n";
-  out << "  \"reference_kernel\": " << (spec.use_reference_kernel ? "true" : "false") << ",\n";
-  if (cfg.watchdog_window != NocConfig{}.watchdog_window) {
-    out << "  \"watchdog\": " << cfg.watchdog_window << ",\n";
-  }
-  if (cfg.retry_limit != NocConfig{}.retry_limit) {
-    out << "  \"retry_limit\": " << cfg.retry_limit << ",\n";
-  }
-  if (cfg.retry_backoff_cycles != NocConfig{}.retry_backoff_cycles) {
-    out << "  \"retry_backoff\": " << cfg.retry_backoff_cycles << ",\n";
-  }
-  if (cfg.shard_threads != NocConfig{}.shard_threads) {
-    out << "  \"shard_threads\": " << cfg.shard_threads << ",\n";
-  }
-  const TelemetrySpec& tel = spec.telemetry;
-  if (tel.epoch_cycles > 0) out << "  \"telemetry_epoch\": " << tel.epoch_cycles << ",\n";
-  if (!tel.record_trace.empty()) {
-    out << "  \"record_trace\": \"" << json_escape(tel.record_trace) << "\",\n";
-  }
-  if (!tel.csv.empty()) out << "  \"telemetry_csv\": \"" << json_escape(tel.csv) << "\",\n";
-  if (!tel.power_csv.empty()) {
-    out << "  \"telemetry_power_csv\": \"" << json_escape(tel.power_csv) << "\",\n";
-  }
-  if (!tel.heatmap.empty()) {
-    out << "  \"telemetry_heatmap\": \"" << json_escape(tel.heatmap) << "\",\n";
-  }
-  if (!tel.chrome.empty()) {
-    out << "  \"telemetry_chrome\": \"" << json_escape(tel.chrome) << "\",\n";
-  }
-  if (tel.chrome_events != TelemetrySpec{}.chrome_events) {
-    out << "  \"telemetry_chrome_events\": " << tel.chrome_events << ",\n";
-  }
+  for_each_written(spec, [&](const Slot& slot, const char* key, const std::string& tok) {
+    out << "  \"" << key << "\": " << (json_quoted(slot) ? '"' + json_escape(tok) + '"' : tok)
+        << ",\n";
+  });
   if (!spec.fault_events.empty()) {
     out << "  \"fault_events\": [";
     for (std::size_t i = 0; i < spec.fault_events.size(); ++i) {

@@ -168,6 +168,14 @@ TEST(ResultTable, CsvRoundTrip) {
   EXPECT_EQ(parsed.to_csv(), csv);
 
   EXPECT_THROW(ResultTable::from_csv("not,a,result,table\n"), ConfigError);
+  // Every cell must parse in full.
+  const std::string header = ResultTable().to_csv();
+  std::string zeros;
+  for (int i = 1; i < 29; ++i) zeros += ",0";
+  EXPECT_EQ(ResultTable::from_csv(header + "12" + zeros + "\n").at(0).index, 12u);
+  EXPECT_THROW(ResultTable::from_csv(header + "12abc" + zeros + "\n"), ConfigError);
+  EXPECT_THROW(ResultTable::from_csv(header + "-1" + zeros + "\n"), ConfigError);
+  EXPECT_THROW(ResultTable::from_csv(header + "1,4x" + zeros.substr(2) + "\n"), ConfigError);
 }
 
 TEST(ResultTable, JsonRoundTrip) {
@@ -182,6 +190,13 @@ TEST(ResultTable, JsonRoundTrip) {
   EXPECT_EQ(parsed.to_json(), json);
 
   EXPECT_EQ(ResultTable::from_json("[]").size(), 0u);
+  // Strict scalars, escapes and document ends.
+  EXPECT_THROW(explore::record_from_json(R"({"index": 12abc})"), ConfigError);
+  EXPECT_THROW(explore::record_from_json(R"({"workload": "\uZZZZ"})"), ConfigError);
+  EXPECT_THROW(explore::record_from_json(R"({"index": 1} trailing)"), ConfigError);
+  EXPECT_THROW(explore::record_from_json(R"({"index": "1"})"), ConfigError);
+  EXPECT_THROW(explore::record_from_json(R"({"ok": 1})"), ConfigError);
+  EXPECT_THROW(ResultTable::from_json("[]garbage"), ConfigError);
 }
 
 // --- Pareto frontier ---------------------------------------------------------

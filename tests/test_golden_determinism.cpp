@@ -364,7 +364,9 @@ TEST(GoldenDrain, CounterCheckMatchesFullScan) {
     // While credits are in flight the counter check may be stricter than
     // the component scan; it must never report drained while a component
     // still holds work.
-    if (!scan) EXPECT_FALSE(net->drained()) << "cycle " << c;
+    if (!scan) {
+      EXPECT_FALSE(net->drained()) << "cycle " << c;
+    }
     net->tick();
     drained = net->drained();
   }

@@ -268,6 +268,13 @@ TEST(ObsHeartbeat, JsonRoundTrip) {
 
   const obs::Heartbeat idle;
   EXPECT_EQ(obs::heartbeat_from_json(obs::to_json(idle)), idle);
+
+  // A job name needing every kind of escape keeps the file one line.
+  obs::Heartbeat odd = hb;
+  odd.job = "a\nb\"c\\d\x01";
+  const std::string json = obs::to_json(odd);
+  EXPECT_EQ(json.find('\n'), json.size() - 1) << json;
+  EXPECT_EQ(obs::heartbeat_from_json(json), odd);
 }
 
 TEST(ObsHeartbeat, RejectsGarbage) {

@@ -22,6 +22,7 @@
 
 #include "dedicated/dedicated_network.hpp"
 #include "explore/job.hpp"
+#include "format_corpus.hpp"
 #include "helpers.hpp"
 #include "mapping/nmap.hpp"
 #include "noc/network.hpp"
@@ -222,22 +223,7 @@ INSTANTIATE_TEST_SUITE_P(Matrix, GoldenClassic, ::testing::ValuesIn(golden_matri
 
 // --- Scenario round-trips ----------------------------------------------------
 
-const char* kScenarioText = R"(# three apps with a reconfiguration between each
-name = appswitch
-design = smart
-mesh = 8x4
-flit_bits = 32
-seed = 7
-fault_rate = 0.25
-traffic_mode = gap-skip
-drain_timeout = 5000
-
-phase warm  workload=wlan injection=1 cycles=2000
-phase a     cycles=9000 measure
-phase b     workload=vopd injection=0.5 cycles=9000 measure reconfigure
-phase pause cycles=100 no-traffic
-phase drain drain
-)";
+using testing::kScenarioText;
 
 TEST(ScenarioRoundTrip, TextIsIdentity) {
   const sim::ScenarioSpec spec = sim::parse_scenario(kScenarioText);
@@ -289,6 +275,25 @@ TEST(ScenarioParse, ErrorsCarryContext) {
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+  }
+  // Values the text or JSON form could not carry back: each is rejected,
+  // and the error names the offending field.
+  const std::string phase = R"({"name": "p", "workload": "vopd", "cycles": 10})";
+  const std::pair<std::string, std::string> unrepresentable[] = {
+      {R"({"name": "a#b", "phases": [)" + phase + "]}", "name"},
+      {R"({"phases": [{"name": "p q", "workload": "vopd", "cycles": 10}]})", "name"},
+      {R"({"name": "x\nmesh = 8x8", "phases": [)" + phase + "]}", "name"},
+      {"fault_rate = nan\nphase p workload=vopd cycles=10\n", "fault_rate"},
+      {"bandwidth_scale = inf\nphase p workload=vopd cycles=10\n", "bandwidth_scale"},
+      {"phase p workload=vopd injection=nan cycles=10\n", "injection"},
+  };
+  for (const auto& [input, field] : unrepresentable) {
+    try {
+      sim::parse_scenario(input);
+      ADD_FAILURE() << "accepted: " << input;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
   }
 }
 
