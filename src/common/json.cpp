@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <charconv>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -155,17 +156,12 @@ class Parser {
   }
 
   unsigned hex4() {
-    if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
     unsigned v = 0;
-    for (int i = 0; i < 4; ++i, ++pos_) {
-      const char h = s_[pos_];
-      int d = -1;
-      if (h >= '0' && h <= '9') d = h - '0';
-      else if (h >= 'a' && h <= 'f') d = h - 'a' + 10;
-      else if (h >= 'A' && h <= 'F') d = h - 'A' + 10;
-      if (d < 0) fail("\\u escape needs four hex digits");
-      v = v * 16 + static_cast<unsigned>(d);
+    const char* first = s_.data() + pos_;
+    if (pos_ + 4 > s_.size() || std::from_chars(first, first + 4, v, 16).ptr != first + 4) {
+      fail("\\u escape needs four hex digits");
     }
+    pos_ += 4;
     return v;
   }
 
@@ -180,22 +176,12 @@ class Parser {
     return 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
   }
 
+  /// UTF-8: a lead byte carrying the high bits, then 6-bit continuation bytes.
   static void append_utf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
+    static constexpr unsigned kLead[] = {0x00, 0xC0, 0xE0, 0xF0};
+    const int tail = cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+    out += static_cast<char>(kLead[tail] | (cp >> (6 * tail)));
+    for (int i = tail - 1; i >= 0; --i) out += static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3F));
   }
 
   const std::string& s_;
@@ -203,23 +189,14 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-const char* kind_name(Kind k) {
-  switch (k) {
-    case Kind::Null: return "null";
-    case Kind::Bool: return "a boolean";
-    case Kind::Number: return "a number";
-    case Kind::String: return "a string";
-    case Kind::Array: return "an array";
-    case Kind::Object: return "an object";
-  }
-  return "?";
-}
-
 }  // namespace
 
 const std::string& Value::as(Kind want, const std::string& what) const {
+  static const char* const kNames[] = {"null",     "a boolean", "a number",
+                                       "a string", "an array",  "an object"};
   if (kind != want) {
-    throw ConfigError(what + ": expected " + kind_name(want) + ", got " + kind_name(kind));
+    throw ConfigError(what + ": expected " + kNames[static_cast<int>(want)] + ", got " +
+                      kNames[static_cast<int>(kind)]);
   }
   return text;
 }

@@ -51,10 +51,13 @@ inline double parse_double_token(const std::string& s, const std::string& what) 
 }
 
 inline std::uint64_t parse_u64_token(const std::string& s, const std::string& what) {
-  // A leading '-' would wrap through strtoull to a huge cycle count (a
-  // "warmup = -1" sweep would spin for ~1.8e19 cycles); reject it up front.
+  // A '-' would wrap through strtoull to a huge cycle count (a "warmup = -1"
+  // sweep would spin for ~1.8e19 cycles), and stoull skips leading blanks
+  // before one; so the first character must be a digit.
   try {
-    if (s.empty() || s[0] == '-') throw std::invalid_argument(s);
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0]))) {
+      throw std::invalid_argument(s);
+    }
     std::size_t pos = 0;
     const std::uint64_t v = std::stoull(s, &pos);
     if (pos != s.size()) throw std::invalid_argument(s);

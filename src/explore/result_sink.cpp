@@ -13,10 +13,6 @@ namespace smartnoc::explore {
 
 namespace {
 
-std::string fmt_u64(std::uint64_t v) {
-  return strf("%llu", static_cast<unsigned long long>(v));
-}
-
 std::string csv_quote(const std::string& s) {
   std::string out = "\"";
   for (char c : s) {
@@ -27,35 +23,36 @@ std::string csv_quote(const std::string& s) {
   return out;
 }
 
-/// Splits one CSV line honoring double-quoted fields with "" escapes.
-std::vector<std::string> csv_split(const std::string& line) {
-  std::vector<std::string> out;
+/// Splits CSV text into rows of fields. A double-quoted field may hold
+/// commas, line breaks and "" escapes; blank lines are skipped.
+std::vector<std::vector<std::string>> csv_rows(const std::string& text) {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> row;
   std::string cur;
   bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
+  std::size_t row_start = 0;
+  for (std::size_t i = 0; i <= text.size(); ++i) {
+    const char c = i < text.size() ? text[i] : '\n';  // the last row may lack its newline
     if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cur += c;
-      }
+      if (c != '"') cur += c;
+      else if (i + 1 < text.size() && text[i + 1] == '"') cur += text[++i];
+      else quoted = false;
     } else if (c == '"') {
       quoted = true;
-    } else if (c == ',') {
-      out.push_back(std::move(cur));
+    } else if (c == ',' || c == '\n') {
+      row.push_back(std::move(cur));
       cur.clear();
+      if (c == '\n') {
+        if (i > row_start) rows.push_back(std::move(row));
+        row.clear();
+        row_start = i + 1;
+      }
     } else {
       cur += c;
     }
   }
-  out.push_back(std::move(cur));
-  return out;
+  if (quoted) throw ConfigError("CSV ends inside a quoted field");
+  return rows;
 }
 
 // --- The RunRecord column table ----------------------------------------------
@@ -163,12 +160,6 @@ RunRecord record_from_value(const json::Value& v) {
   return r;
 }
 
-std::string csv_header() {
-  std::string out;
-  for (const Column& col : kColumns) out += (out.empty() ? "" : ",") + std::string(col.name);
-  return out;
-}
-
 }  // namespace
 
 std::size_t ResultTable::ok_count() const {
@@ -178,7 +169,8 @@ std::size_t ResultTable::ok_count() const {
 }
 
 std::string ResultTable::to_csv() const {
-  std::string out = csv_header();
+  std::string out;
+  for (const Column& col : kColumns) out += (&col == kColumns ? "" : ",") + std::string(col.name);
   out += '\n';
   for (const auto& r : rows_) {
     for (const Column& col : kColumns) {
@@ -191,33 +183,19 @@ std::string ResultTable::to_csv() const {
 }
 
 ResultTable ResultTable::from_csv(const std::string& text) {
-  const std::string header = csv_header();
+  const std::vector<std::vector<std::string>> rows = csv_rows(text);
+  std::vector<std::string> header;
+  for (const Column& col : kColumns) header.push_back(col.name);
+  if (!rows.empty() && rows.front() != header) {
+    throw ConfigError("CSV header does not match ResultTable format");
+  }
   ResultTable out;
-  std::size_t pos = 0;
-  bool header_seen = false;
-  while (pos < text.size()) {
-    // Find the end of the logical row: newlines inside quoted fields (e.g.
-    // a multi-line error message) do not terminate it.
-    std::size_t nl = pos;
-    bool quoted = false;
-    while (nl < text.size() && (quoted || text[nl] != '\n')) {
-      if (text[nl] == '"') quoted = !quoted;
-      ++nl;
-    }
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    if (!header_seen) {
-      if (line != header) throw ConfigError("CSV header does not match ResultTable format");
-      header_seen = true;
-      continue;
-    }
-    const auto f = csv_split(line);
-    if (f.size() != std::size(kColumns)) {
-      throw ConfigError(strf("CSV row has %zu columns, expected %zu", f.size(), std::size(kColumns)));
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    if (rows[i].size() != header.size()) {
+      throw ConfigError(strf("CSV row has %zu columns, expected %zu", rows[i].size(), header.size()));
     }
     RunRecord r;
-    for (std::size_t i = 0; i < f.size(); ++i) parse_cell(r, kColumns[i], f[i]);
+    for (std::size_t c = 0; c < header.size(); ++c) parse_cell(r, kColumns[c], rows[i][c]);
     out.add(std::move(r));
   }
   return out;
@@ -290,7 +268,7 @@ std::string ResultTable::summary() const {
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const RunRecord& r = rows_[i];
     std::vector<std::string> row = {
-        fmt_u64(r.index),
+        std::to_string(r.index),
         strf("%dx%d", r.width, r.height),
         strf("%d", r.flit_bits),
         strf("%d", r.hpc_max),
@@ -301,7 +279,7 @@ std::string ResultTable::summary() const {
     };
     if (r.ok) {
       row.push_back(strf("%d", r.flows));
-      row.push_back(fmt_u64(r.packets));
+      row.push_back(std::to_string(r.packets));
       row.push_back(strf("%.2f", r.avg_net_latency));
       row.push_back(strf("%.0f", r.p99_latency));
       row.push_back(strf("%.2f", r.power_mw));

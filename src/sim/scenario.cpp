@@ -52,19 +52,17 @@ std::vector<PhaseSpec> classic_phases(const NocConfig& cfg) {
 
 namespace {
 
-/// A string that must survive the text form: no '#' (comment), no control
-/// character (line break) and no leading or trailing space (trimmed).
-struct Text {
+/// A string field. Every string must survive the text form: no '#'
+/// (comment), no control character (line break), no leading or trailing
+/// space (trimmed); a token also holds no space (the phase line splits on it).
+struct Str {
   std::string* s;
-};
-/// A Text that must also hold no space (the phase line splits on it).
-struct Token {
-  std::string* s;
+  bool token;
 };
 
 /// Where a key's value lives; the alternative picks its codec. NocConfig*
 /// is the mesh codec ("WxH", width and height).
-using Slot = std::variant<int*, std::uint64_t*, double*, bool*, Text, Token, Design*, RoutingPolicy*,
+using Slot = std::variant<int*, std::uint64_t*, double*, bool*, Str, Design*, RoutingPolicy*,
                           noc::BernoulliMode*, NocConfig*>;
 
 struct Scalar {
@@ -78,8 +76,8 @@ struct Scalar {
 template <auto M> Slot top(ScenarioSpec& s) { return &(s.*M); }
 template <auto M> Slot cfg(ScenarioSpec& s) { return &(s.config.*M); }
 template <auto M> Slot tel(ScenarioSpec& s) { return &(s.telemetry.*M); }
-template <auto M> Slot path(ScenarioSpec& s) { return Token{&(s.telemetry.*M)}; }
-Slot name(ScenarioSpec& s) { return Text{&s.name}; }
+template <auto M> Slot path(ScenarioSpec& s) { return Str{&(s.telemetry.*M), true}; }
+Slot name(ScenarioSpec& s) { return Str{&s.name, false}; }
 
 /// Every scenario-level key, in serialization order: the text and JSON
 /// parsers and both serializers are generated from this one list.
@@ -149,12 +147,12 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-/// A slot's value as its token (JSON quotes it unless it is a number or bool).
+/// A slot's value as its token.
 std::string encode(const Slot& slot) {
   return std::visit(
       [](auto p) -> std::string {
         using P = decltype(p);
-        if constexpr (std::is_same_v<P, Text> || std::is_same_v<P, Token>) {
+        if constexpr (std::is_same_v<P, Str>) {
           return *p.s;
         } else if constexpr (std::is_same_v<P, NocConfig*>) {
           return std::to_string(p->width) + "x" + std::to_string(p->height);
@@ -174,9 +172,10 @@ std::string encode(const Slot& slot) {
       slot);
 }
 
+/// JSON writes numbers and booleans bare, everything else as a string.
 bool json_quoted(const Slot& slot) {
-  return !std::holds_alternative<int*>(slot) && !std::holds_alternative<std::uint64_t*>(slot) &&
-         !std::holds_alternative<double*>(slot) && !std::holds_alternative<bool*>(slot);
+  return std::visit([](auto p) { return !std::is_arithmetic_v<std::remove_pointer_t<decltype(p)>>; },
+                    slot);
 }
 
 /// Sets a slot from its token; the error names `key`.
@@ -184,7 +183,7 @@ void decode(const Slot& slot, const std::string& tok, const std::string& key) {
   std::visit(
       [&](auto p) {
         using P = decltype(p);
-        if constexpr (std::is_same_v<P, Text> || std::is_same_v<P, Token>) {
+        if constexpr (std::is_same_v<P, Str>) {
           *p.s = tok;
         } else if constexpr (std::is_same_v<P, NocConfig*>) {
           const auto x = tok.find('x');
@@ -215,7 +214,7 @@ void decode(const Slot& slot, const std::string& tok, const std::string& key) {
       slot);
 }
 
-/// The string rule of Text (token = false) and Token (token = true).
+/// The Str rule (see there).
 void check_string(const std::string& v, const std::string& what, bool token) {
   bool ok = token || v.empty() || (v.front() != ' ' && v.back() != ' ');
   for (const char c : v) {
@@ -264,8 +263,7 @@ void ScenarioSpec::validate() const {
     std::visit(
         [&](auto p) {
           using P = decltype(p);
-          if constexpr (std::is_same_v<P, Text>) check_string(*p.s, row.key, false);
-          if constexpr (std::is_same_v<P, Token>) check_string(*p.s, row.key, true);
+          if constexpr (std::is_same_v<P, Str>) check_string(*p.s, row.key, p.token);
           if constexpr (std::is_same_v<P, double*>) check_finite(*p, row.key);
         },
         read(row, *this));
@@ -378,15 +376,13 @@ std::string serialize_scenario_text(const ScenarioSpec& spec) {
 
 namespace {
 
-PhaseSpec parse_phase_line(const std::string& rest, int line_no) {
+PhaseSpec parse_phase_line(const std::string& rest) {
   std::istringstream ss(rest);
   std::string tok;
   PhaseSpec ph;
-  if (!(ss >> tok)) {
-    throw ConfigError("line " + std::to_string(line_no) + ": phase needs a name");
-  }
+  if (!(ss >> tok)) throw ConfigError("phase needs a name");
   ph.name = tok;
-  const std::string ctx = "line " + std::to_string(line_no) + " (phase '" + ph.name + "')";
+  const std::string ctx = "phase '" + ph.name + "'";
   while (ss >> tok) {
     const auto eq = tok.find('=');
     if (eq != std::string::npos) {
@@ -418,28 +414,22 @@ ScenarioSpec parse_scenario_text(const std::string& text) {
     if (hash != std::string::npos) raw = raw.substr(0, hash);
     const std::string line = trim_token(raw);
     if (line.empty()) continue;
-    if (line.rfind("phase", 0) == 0 &&
-        (line.size() == 5 || std::isspace(static_cast<unsigned char>(line[5])))) {
-      spec.phases.push_back(parse_phase_line(line.substr(5), line_no));
-      continue;
-    }
-    if (line.rfind("fault_event", 0) == 0 &&
-        (line.size() == 11 || std::isspace(static_cast<unsigned char>(line[11])))) {
-      try {
+    const auto starts_with_word = [&](const std::string& w) {
+      return line.rfind(w, 0) == 0 &&
+             (line.size() == w.size() || std::isspace(static_cast<unsigned char>(line[w.size()])));
+    };
+    try {
+      if (starts_with_word("phase")) {
+        spec.phases.push_back(parse_phase_line(line.substr(5)));
+      } else if (starts_with_word("fault_event")) {
         const auto evs = noc::parse_fault_schedule_token(trim_token(line.substr(11)));
         spec.fault_events.insert(spec.fault_events.end(), evs.begin(), evs.end());
-      } catch (const ConfigError& e) {
-        throw ConfigError("line " + std::to_string(line_no) + ": " + e.what());
+      } else if (const auto eq = line.find('='); eq != std::string::npos) {
+        apply_scalar(spec, lower_token(trim_token(line.substr(0, eq))),
+                     trim_token(line.substr(eq + 1)));
+      } else {
+        throw ConfigError("expected 'key = value' or 'phase ...', got '" + line + "'");
       }
-      continue;
-    }
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw ConfigError("line " + std::to_string(line_no) +
-                        ": expected 'key = value' or 'phase ...', got '" + line + "'");
-    }
-    try {
-      apply_scalar(spec, lower_token(trim_token(line.substr(0, eq))), trim_token(line.substr(eq + 1)));
     } catch (const ConfigError& e) {
       throw ConfigError("line " + std::to_string(line_no) + ": " + e.what());
     }

@@ -175,6 +175,8 @@ TEST(ResultTable, CsvRoundTrip) {
   EXPECT_EQ(ResultTable::from_csv(header + "12" + zeros + "\n").at(0).index, 12u);
   EXPECT_THROW(ResultTable::from_csv(header + "12abc" + zeros + "\n"), ConfigError);
   EXPECT_THROW(ResultTable::from_csv(header + "-1" + zeros + "\n"), ConfigError);
+  EXPECT_THROW(ResultTable::from_csv(header + " -1" + zeros + "\n"), ConfigError);
+  EXPECT_THROW(ResultTable::from_csv(header + "1" + zeros + ",\"open\n"), ConfigError);
   EXPECT_THROW(ResultTable::from_csv(header + "1,4x" + zeros.substr(2) + "\n"), ConfigError);
 }
 

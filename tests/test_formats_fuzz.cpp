@@ -27,7 +27,7 @@ namespace smartnoc {
 namespace {
 
 constexpr std::uint64_t kSeed = 0x5eedf00dULL;
-constexpr int kIterations = 3000;  // per format
+constexpr int kIterations = 5000;  // per format
 
 class Mutator {
  public:
