@@ -170,7 +170,10 @@ std::size_t ResultTable::ok_count() const {
 
 std::string ResultTable::to_csv() const {
   std::string out;
-  for (const Column& col : kColumns) out += (&col == kColumns ? "" : ",") + std::string(col.name);
+  for (const Column& col : kColumns) {
+    if (&col != kColumns) out += ',';
+    out += col.name;
+  }
   out += '\n';
   for (const auto& r : rows_) {
     for (const Column& col : kColumns) {
@@ -192,7 +195,8 @@ ResultTable ResultTable::from_csv(const std::string& text) {
   ResultTable out;
   for (std::size_t i = 1; i < rows.size(); ++i) {
     if (rows[i].size() != header.size()) {
-      throw ConfigError(strf("CSV row has %zu columns, expected %zu", rows[i].size(), header.size()));
+      throw ConfigError(
+          strf("CSV row has %zu columns, expected %zu", rows[i].size(), header.size()));
     }
     RunRecord r;
     for (std::size_t c = 0; c < header.size(); ++c) parse_cell(r, kColumns[c], rows[i][c]);
@@ -228,7 +232,9 @@ RunRecord record_from_json(const std::string& json) {
 
 ResultTable ResultTable::from_json(const std::string& text) {
   const json::Value root = json::parse(text, "ResultTable JSON");
-  if (root.kind != json::Value::Kind::Array) throw ConfigError("ResultTable JSON: expected an array");
+  if (root.kind != json::Value::Kind::Array) {
+    throw ConfigError("ResultTable JSON: expected an array");
+  }
   ResultTable out;
   for (const json::Value& v : root.items) out.add(record_from_value(v));
   return out;

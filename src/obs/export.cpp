@@ -148,7 +148,9 @@ std::string to_json(const Heartbeat& hb) {
 
 Heartbeat heartbeat_from_json(const std::string& text) {
   const json::Value root = json::parse(text, "heartbeat JSON");
-  if (root.kind != json::Value::Kind::Object) throw ConfigError("heartbeat JSON: expected an object");
+  if (root.kind != json::Value::Kind::Object) {
+    throw ConfigError("heartbeat JSON: expected an object");
+  }
   Heartbeat hb;
   for (const auto& [key, v] : root.members) {
     const char* what = key.c_str();

@@ -72,6 +72,7 @@ struct Scalar {
   /// the key existed round-trip byte for byte.
   bool omit_default = false;
 };
+constexpr bool kOmitDefault = true;
 
 template <auto M> Slot top(ScenarioSpec& s) { return &(s.*M); }
 template <auto M> Slot cfg(ScenarioSpec& s) { return &(s.config.*M); }
@@ -103,17 +104,17 @@ const Scalar kScalars[] = {
     {"store_issue", top<&ScenarioSpec::store_issue_cycles>},
     {"traffic_mode", top<&ScenarioSpec::traffic_mode>},
     {"reference_kernel", top<&ScenarioSpec::use_reference_kernel>},
-    {"watchdog", cfg<&NocConfig::watchdog_window>, true},
-    {"retry_limit", cfg<&NocConfig::retry_limit>, true},
-    {"retry_backoff", cfg<&NocConfig::retry_backoff_cycles>, true},
-    {"shard_threads", cfg<&NocConfig::shard_threads>, true},
-    {"telemetry_epoch", tel<&TelemetrySpec::epoch_cycles>, true},
-    {"record_trace", path<&TelemetrySpec::record_trace>, true},
-    {"telemetry_csv", path<&TelemetrySpec::csv>, true},
-    {"telemetry_power_csv", path<&TelemetrySpec::power_csv>, true},
-    {"telemetry_heatmap", path<&TelemetrySpec::heatmap>, true},
-    {"telemetry_chrome", path<&TelemetrySpec::chrome>, true},
-    {"telemetry_chrome_events", tel<&TelemetrySpec::chrome_events>, true},
+    {"watchdog", cfg<&NocConfig::watchdog_window>, kOmitDefault},
+    {"retry_limit", cfg<&NocConfig::retry_limit>, kOmitDefault},
+    {"retry_backoff", cfg<&NocConfig::retry_backoff_cycles>, kOmitDefault},
+    {"shard_threads", cfg<&NocConfig::shard_threads>, kOmitDefault},
+    {"telemetry_epoch", tel<&TelemetrySpec::epoch_cycles>, kOmitDefault},
+    {"record_trace", path<&TelemetrySpec::record_trace>, kOmitDefault},
+    {"telemetry_csv", path<&TelemetrySpec::csv>, kOmitDefault},
+    {"telemetry_power_csv", path<&TelemetrySpec::power_csv>, kOmitDefault},
+    {"telemetry_heatmap", path<&TelemetrySpec::heatmap>, kOmitDefault},
+    {"telemetry_chrome", path<&TelemetrySpec::chrome>, kOmitDefault},
+    {"telemetry_chrome_events", tel<&TelemetrySpec::chrome_events>, kOmitDefault},
 };
 
 /// A row's slot for reading only (the accessors are shared with parsing).
@@ -174,8 +175,8 @@ std::string encode(const Slot& slot) {
 
 /// JSON writes numbers and booleans bare, everything else as a string.
 bool json_quoted(const Slot& slot) {
-  return std::visit([](auto p) { return !std::is_arithmetic_v<std::remove_pointer_t<decltype(p)>>; },
-                    slot);
+  return std::visit(
+      [](auto p) { return !std::is_arithmetic_v<std::remove_pointer_t<decltype(p)>>; }, slot);
 }
 
 /// Sets a slot from its token; the error names `key`.
@@ -206,7 +207,8 @@ void decode(const Slot& slot, const std::string& tok, const std::string& key) {
               *p = sp.value;
               return;
             }
-            names += (names.empty() ? "" : ", ") + std::string(sp.name);
+            names += names.empty() ? "" : ", ";
+            names += sp.name;
           }
           throw ConfigError("unknown " + key + " '" + tok + "' (" + names + ")");
         }
@@ -240,7 +242,29 @@ void apply_scalar(ScenarioSpec& spec, const std::string& key, const std::string&
   throw ConfigError("unknown scenario key '" + key + "'");
 }
 
-/// Calls emit(row, token) for each scalar the serializers write.
+/// Applies one valued phase key shared by both dialects; the fault-rate
+/// key is spelled `fault` in text and `fault_rate` in JSON. Returns false
+/// for any other key.
+bool apply_phase_key(PhaseSpec& ph, const std::string& key, const std::string& value,
+                     const std::string& ctx, const char* fault_key) {
+  if (key == "workload") {
+    ph.workload = normalize_workload_key(value);
+  } else if (key == "injection") {
+    ph.injection = parse_double_token(value, ctx + " injection");
+  } else if (key == "cycles") {
+    ph.cycles = parse_u64_token(value, ctx + " cycles");
+  } else if (key == fault_key) {
+    ph.fault_rate = parse_double_token(value, ctx + " " + key);
+    if (ph.fault_rate < 0.0) {
+      throw ConfigError(ctx + ": fault rate must be in [0,1] (omit the key to inherit)");
+    }
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// Calls emit(slot, key, token) for each scalar the serializers write.
 template <class Emit>
 void for_each_written(const ScenarioSpec& spec, Emit emit) {
   static const ScenarioSpec kDefaults;
@@ -322,32 +346,6 @@ void ScenarioSpec::validate() const {
   }
 }
 
-namespace {
-
-/// Applies one valued phase key shared by both dialects; the fault-rate
-/// key is spelled `fault` in text and `fault_rate` in JSON. Returns false
-/// for any other key.
-bool apply_phase_key(PhaseSpec& ph, const std::string& key, const std::string& value,
-                     const std::string& ctx, const char* fault_key) {
-  if (key == "workload") {
-    ph.workload = normalize_workload_key(value);
-  } else if (key == "injection") {
-    ph.injection = parse_double_token(value, ctx + " injection");
-  } else if (key == "cycles") {
-    ph.cycles = parse_u64_token(value, ctx + " cycles");
-  } else if (key == fault_key) {
-    ph.fault_rate = parse_double_token(value, ctx + " " + key);
-    if (ph.fault_rate < 0.0) {
-      throw ConfigError(ctx + ": fault rate must be in [0,1] (omit the key to inherit)");
-    }
-  } else {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 // --- Text form ---------------------------------------------------------------
 
 std::string serialize_scenario_text(const ScenarioSpec& spec) {
@@ -402,9 +400,7 @@ PhaseSpec parse_phase_line(const std::string& rest) {
   return ph;
 }
 
-ScenarioSpec parse_scenario_text(const std::string& text) {
-  ScenarioSpec spec;
-  spec.config = NocConfig::paper_4x4();
+void parse_scenario_text(const std::string& text, ScenarioSpec& spec) {
   std::istringstream ss(text);
   std::string raw;
   int line_no = 0;
@@ -434,9 +430,6 @@ ScenarioSpec parse_scenario_text(const std::string& text) {
       throw ConfigError("line " + std::to_string(line_no) + ": " + e.what());
     }
   }
-  spec.config.fit_derived();
-  spec.validate();
-  return spec;
 }
 
 // --- JSON form ---------------------------------------------------------------
@@ -452,11 +445,9 @@ const std::string& scalar_token(const json::Value& v, const std::string& key) {
   return v.text;
 }
 
-ScenarioSpec parse_scenario_json(const std::string& text) {
+void parse_scenario_json(const std::string& text, ScenarioSpec& spec) {
   const json::Value root = json::parse(text, "scenario JSON");
   if (root.kind != Kind::Object) throw ConfigError("scenario JSON: top level must be an object");
-  ScenarioSpec spec;
-  spec.config = NocConfig::paper_4x4();
   for (const auto& [key, v] : root.members) {
     if (key == "phases") {
       if (v.kind != Kind::Array) throw ConfigError("scenario JSON: 'phases' must be an array");
@@ -492,9 +483,6 @@ ScenarioSpec parse_scenario_json(const std::string& text) {
       apply_scalar(spec, key, scalar_token(v, key));
     }
   }
-  spec.config.fit_derived();
-  spec.validate();
-  return spec;
 }
 
 }  // namespace
@@ -534,12 +522,16 @@ std::string serialize_scenario_json(const ScenarioSpec& spec) {
 }
 
 ScenarioSpec parse_scenario(const std::string& text) {
-  for (char c : text) {
-    if (std::isspace(static_cast<unsigned char>(c))) continue;
-    if (c == '{') return parse_scenario_json(text);
-    break;
+  ScenarioSpec spec;  // unset keys keep the defaults (NocConfig::paper_4x4())
+  const std::size_t first = text.find_first_not_of(" \t\n\v\f\r");
+  if (first != std::string::npos && text[first] == '{') {
+    parse_scenario_json(text, spec);
+  } else {
+    parse_scenario_text(text, spec);
   }
-  return parse_scenario_text(text);
+  spec.config.fit_derived();
+  spec.validate();
+  return spec;
 }
 
 }  // namespace smartnoc::sim

@@ -166,7 +166,13 @@ TEST(FormatsFuzz, RecordJson) {
 }
 
 TEST(FormatsFuzz, HeartbeatJson) {
-  fuzz(kSeed + 4, {obs::to_json(testing::hostile_heartbeat()), obs::to_json(obs::Heartbeat{})},
+  // Heartbeats have no byte pin, so the corpus also holds a fixed line that
+  // does not come from the writer under test.
+  const std::string escaped =
+      R"({"pid": 7, "uptime_seconds": 1.5, "job": "a\nb\"c\\d\u0001\t", "points_done": 1, )"
+      R"("points_total": 2, "points_per_sec": 0.5, "eta_seconds": 2})";
+  fuzz(kSeed + 4,
+       {escaped, obs::to_json(testing::hostile_heartbeat()), obs::to_json(obs::Heartbeat{})},
        [](const std::string& input) {
          const std::string json = obs::to_json(obs::heartbeat_from_json(input));
          try {

@@ -281,6 +281,11 @@ TEST(ObsHeartbeat, RejectsGarbage) {
   EXPECT_THROW(obs::heartbeat_from_json("not json"), ConfigError);
   EXPECT_THROW(obs::heartbeat_from_json("{\"pid\": }"), ConfigError);
   EXPECT_THROW(obs::heartbeat_from_json("{\"surprise\": 1}"), ConfigError);
+  EXPECT_THROW(obs::heartbeat_from_json("{\"pid\": 12abc}"), ConfigError);
+  EXPECT_THROW(obs::heartbeat_from_json("{\"pid\": 1.5}"), ConfigError);
+  EXPECT_THROW(obs::heartbeat_from_json("{\"job\": 7}"), ConfigError);
+  EXPECT_THROW(obs::heartbeat_from_json("{\"job\": \"\\uZZZZ\"}"), ConfigError);
+  EXPECT_THROW(obs::heartbeat_from_json("{\"pid\": 1} trailing"), ConfigError);
 }
 
 // --- Executor instrumentation ------------------------------------------------
