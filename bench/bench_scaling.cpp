@@ -10,9 +10,11 @@
 //     the armed-at-one-shard overhead as machine-readable
 //     `shard_scaling <metric> <value>` lines (assembled into BENCH_pr10.json
 //     by CI, with gates: armed overhead < 3%, >= 2.5x at 4 shards on a
-//     >= 4-thread machine).
+//     >= 4-thread machine). The 128x128 also reports its build time and the
+//     process's peak resident set: network memory is O(nodes + flows).
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,18 +62,40 @@ noc::FlowSet local_uniform_flows(const NocConfig& cfg, double flits_per_node_cyc
   return out;
 }
 
+/// Resident-set high-water mark of this process (VmHWM), in MB.
+double peak_rss_mb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) throw std::runtime_error("cannot read /proc/self/status");
+  char line[256];
+  long kib = -1;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %ld kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  if (kib < 0) throw std::runtime_error("no VmHWM in /proc/self/status");
+  return static_cast<double>(kib) / 1024.0;
+}
+
+struct LoadedRun {
+  double build_s = 0.0;       ///< flow set + network construction
+  double ns_per_cycle = 0.0;  ///< measured tick+generate cycles
+};
+
 /// Loaded cycle rate of one mesh under local-uniform traffic: warm up, then
 /// time `measure` tick+generate cycles. force_armed runs the full sharded
 /// protocol at shard count 1 (the overhead configuration).
-double ns_per_cycle(int side, int shards, bool force_armed, Cycle warmup, Cycle measure) {
+LoadedRun loaded_run(int side, int shards, bool force_armed, Cycle warmup, Cycle measure) {
   NocConfig cfg = NocConfig::paper_4x4();
   cfg.width = side;
   cfg.height = side;
   cfg.shard_threads = shards;
   cfg.fit_derived();
   cfg.validate();
+  const auto b0 = std::chrono::steady_clock::now();
   auto flows = local_uniform_flows(cfg, /*flits_per_node_cycle=*/0.03, /*radius=*/12);
   auto net = noc::make_baseline_mesh(cfg, std::move(flows));
+  LoadedRun run;
+  run.build_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - b0).count();
   if (force_armed) net->force_sharded_path(true);
   noc::TrafficEngine traffic(cfg, net->flows(), cfg.seed);
   for (Cycle c = 0; c < warmup; ++c) {
@@ -84,8 +108,9 @@ double ns_per_cycle(int side, int shards, bool force_armed, Cycle warmup, Cycle 
     traffic.generate(*net);
   }
   const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(measure);
+  run.ns_per_cycle =
+      std::chrono::duration<double, std::nano>(t1 - t0).count() / static_cast<double>(measure);
+  return run;
 }
 
 /// Best of `reps` runs: each side's noise floor, which is what overhead
@@ -94,7 +119,7 @@ double best_ns_per_cycle(int side, int shards, bool force_armed, Cycle warmup, C
                          int reps) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
-    const double v = ns_per_cycle(side, shards, force_armed, warmup, measure);
+    const double v = loaded_run(side, shards, force_armed, warmup, measure).ns_per_cycle;
     if (best == 0.0 || v < best) best = v;
   }
   return best;
@@ -150,9 +175,13 @@ void shard_scaling_study(const std::vector<int>& shard_axis) {
 
   // Headline: one 128x128 (16384-router) simulation at the widest shard
   // count - the "one big simulation across many cores" datapoint.
-  const double head = ns_per_cycle(128, top_shards, false, 200, 800);
-  std::printf("\n128x128 loaded, %d shards: %.0f ns/cycle\n", top_shards, head);
-  std::printf("shard_scaling mesh128_ns_per_cycle_shards%d %.1f\n", top_shards, head);
+  const LoadedRun head = loaded_run(128, top_shards, false, 200, 800);
+  const double rss = peak_rss_mb();
+  std::printf("\n128x128 loaded, %d shards: %.0f ns/cycle, built in %.2f s, peak RSS %.0f MB\n",
+              top_shards, head.ns_per_cycle, head.build_s, rss);
+  std::printf("shard_scaling mesh128_ns_per_cycle_shards%d %.1f\n", top_shards, head.ns_per_cycle);
+  std::printf("shard_scaling mesh128_build_s %.3f\n", head.build_s);
+  std::printf("shard_scaling peak_rss_mb %.1f\n", rss);
 
   std::puts("\nreading: results are bit-identical at every row (GoldenShards pins");
   std::puts("it); the speedup column is pure wall-clock. Oversubscribed runs");

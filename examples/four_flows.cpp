@@ -41,7 +41,10 @@ int main() {
   for (FlowId f = 0; f < 4; ++f) {
     const auto& stops = smart.presets.stops_per_flow.at(static_cast<std::size_t>(f));
     std::string s;
-    for (NodeId n : stops) s += " " + std::to_string(n);
+    for (NodeId n : stops) {
+      s += ' ';
+      s += std::to_string(n);
+    }
     std::printf("%-6s stops:%s -> zero-load latency 1 + 3*%zu = %zu cycles\n", names[f],
                 s.empty() ? " (none)" : s.c_str(), stops.size(), 1 + 3 * stops.size());
   }

@@ -18,9 +18,21 @@ DedicatedNetwork::DedicatedNetwork(const NocConfig& cfg, noc::FlowSet flows)
   nic_rx_.resize(static_cast<std::size_t>(dims.nodes()));
   sources_.resize(static_cast<std::size_t>(flows_.size()));
 
-  // Count in-flows per destination to decide where sink routers exist.
+  // Count in-flows per destination to decide where sink routers exist. A
+  // sink router arbitrates over every (in-flow, VC) pair, so its width is
+  // bounded by the arbiter's.
   std::vector<int> inflows(static_cast<std::size_t>(dims.nodes()), 0);
   for (const auto& f : flows_) inflows[static_cast<std::size_t>(f.dst)] += 1;
+  for (NodeId n = 0; n < dims.nodes(); ++n) {
+    const int width = inflows[static_cast<std::size_t>(n)] * cfg_.vcs_per_port;
+    if (width > noc::kMaxArbInputs) {
+      throw ConfigError("dedicated: node " + std::to_string(n) + " sinks " +
+                        std::to_string(inflows[static_cast<std::size_t>(n)]) + " flows x " +
+                        std::to_string(cfg_.vcs_per_port) + " VCs = " + std::to_string(width) +
+                        " sink-router inputs, over the arbiter limit of " +
+                        std::to_string(noc::kMaxArbInputs));
+    }
+  }
 
   for (const auto& f : flows_) {
     Source& s = sources_[static_cast<std::size_t>(f.id)];
@@ -159,8 +171,7 @@ void DedicatedNetwork::sink_sa(Sink& s) {
   const int in_idx = *winner / cfg_.vcs_per_port;
   const VcId in_vc = static_cast<VcId>(*winner % cfg_.vcs_per_port);
   s.hold = std::pair<int, VcId>{in_idx, in_vc};
-  s.hold_out_vc = s.nic_free_vcs.front();
-  s.nic_free_vcs.pop_front();
+  s.hold_out_vc = s.nic_free_vcs.pop_front();
   s.inputs[static_cast<std::size_t>(in_idx)].locked = true;
   stats_.activity().alloc_grants += 1;
 }
@@ -204,11 +215,9 @@ void DedicatedNetwork::tick_impl() {
     if (!s.active.has_value()) {
       if (s.queue.empty() || s.free_vcs.empty()) continue;
       if (pool_.at(s.queue.front()).created >= now_) continue;  // created this cycle
-      s.active = s.queue.front();
-      s.queue.pop_front();
+      s.active = s.queue.pop_front();
       s.next_seq = 0;
-      s.active_vc = s.free_vcs.front();
-      s.free_vcs.pop_front();
+      s.active_vc = s.free_vcs.pop_front();
       PacketPayload& pkt = pool_.at(*s.active);
       pkt.injected = now_;
       s.active_flits = pkt.flits;

@@ -23,7 +23,6 @@
 // link power "similar" across the three designs.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -32,6 +31,7 @@
 #include "common/config.hpp"
 #include "noc/arbiter.hpp"
 #include "noc/buffer.hpp"
+#include "noc/fifo.hpp"
 #include "noc/flit.hpp"
 #include "noc/flow.hpp"
 #include "noc/network_iface.hpp"
@@ -81,12 +81,12 @@ class DedicatedNetwork final : public noc::Network {
   /// Queued/active packets are pool slots (cold payload lives once in the
   /// PacketPool, same structure-of-arrays split as the mesh datapath).
   struct Source {
-    std::deque<noc::PacketSlot> queue;
+    noc::RingFifo<noc::PacketSlot> queue;  ///< no heap block while idle
     std::optional<noc::PacketSlot> active;
     int active_flits = 0;   ///< payload.flits of the active packet
     int next_seq = 0;
     VcId active_vc = kInvalidVc;
-    std::deque<VcId> free_vcs;
+    noc::VcQueue free_vcs;
     int mm = 0;             ///< Manhattan length of the dedicated wire
     bool contended = false; ///< delivery goes through a sink router
     int sink_input = -1;    ///< input index at the sink router
@@ -104,7 +104,7 @@ class DedicatedNetwork final : public noc::Network {
   struct Sink {
     NodeId node = kInvalidNode;
     std::vector<SinkInput> inputs;
-    std::deque<VcId> nic_free_vcs;  // ejection credits into the NIC
+    noc::VcQueue nic_free_vcs;  // ejection credits into the NIC
     std::optional<std::pair<int, VcId>> hold;  // (input, in_vc) until tail
     VcId hold_out_vc = kInvalidVc;
     noc::RoundRobinArbiter arb;

@@ -13,13 +13,19 @@ Nic::Nic(NodeId node, const NocConfig& cfg, Fabric* fabric, NetworkStats* stats,
 
 void Nic::register_flow(const Flow& flow) {
   SMARTNOC_CHECK(flow.src == node_, "flow registered at the wrong NIC");
-  const auto idx = static_cast<std::size_t>(flow.id);
-  if (idx >= slot_of_flow_.size()) slot_of_flow_.resize(idx + 1, -1);
-  SMARTNOC_CHECK(slot_of_flow_[idx] < 0, "flow registered twice");
-  slot_of_flow_[idx] = static_cast<int>(local_flows_.size());
+  SMARTNOC_CHECK(local_flows_.empty() || local_flows_.back().id < flow.id,
+                 "flows must register in ascending id (a repeat included)");
   LocalFlow lf;
   lf.id = flow.id;
   local_flows_.push_back(std::move(lf));
+}
+
+std::size_t Nic::slot_of(FlowId flow) const {
+  const auto it = std::lower_bound(
+      local_flows_.begin(), local_flows_.end(), flow,
+      [](const LocalFlow& lf, FlowId id) { return lf.id < id; });
+  if (it == local_flows_.end() || it->id != flow) return local_flows_.size();
+  return static_cast<std::size_t>(it - local_flows_.begin());
 }
 
 void Nic::init_source_credits(int vcs) {
@@ -27,37 +33,29 @@ void Nic::init_source_credits(int vcs) {
   for (VcId v = 0; v < vcs; ++v) free_vcs_.push_back(v);
 }
 
-void Nic::offer_packet(PacketSlot pkt_slot) {
-  const PacketPayload& pkt = pool_->at(pkt_slot);
-  const auto idx = static_cast<std::size_t>(pkt.flow);
-  SMARTNOC_CHECK(idx < slot_of_flow_.size() && slot_of_flow_[idx] >= 0,
-                 "packet offered for an unregistered flow");
-  const auto slot = static_cast<std::size_t>(slot_of_flow_[idx]);
+void Nic::enqueue(std::size_t slot, QueuedPacket q, bool front) {
   LocalFlow& lf = local_flows_[slot];
   if (lf.queue.empty()) {
     nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), slot), slot);
   }
-  lf.queue.push_back(QueuedPacket{pkt_slot, 0});
+  if (front) {
+    lf.queue.push_front(q);
+  } else {
+    lf.queue.push_back(q);
+  }
   queued_total_ += 1;
+}
+
+void Nic::offer_packet(PacketSlot pkt_slot) {
+  const std::size_t slot = slot_of(pool_->at(pkt_slot).flow);
+  SMARTNOC_CHECK(slot < local_flows_.size(), "packet offered for an unregistered flow");
+  enqueue(slot, QueuedPacket{pkt_slot, 0}, /*front=*/false);
 }
 
 void Nic::requeue_front(PacketSlot pkt_slot, Cycle not_before) {
-  const PacketPayload& pkt = pool_->at(pkt_slot);
-  const auto idx = static_cast<std::size_t>(pkt.flow);
-  SMARTNOC_CHECK(idx < slot_of_flow_.size() && slot_of_flow_[idx] >= 0,
-                 "retransmission re-queued at the wrong NIC");
-  const auto slot = static_cast<std::size_t>(slot_of_flow_[idx]);
-  LocalFlow& lf = local_flows_[slot];
-  if (lf.queue.empty()) {
-    nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), slot), slot);
-  }
-  lf.queue.push_front(QueuedPacket{pkt_slot, not_before});
-  queued_total_ += 1;
-}
-
-std::size_t Nic::next_nonempty(std::size_t from) const {
-  const auto it = std::lower_bound(nonempty_.begin(), nonempty_.end(), from);
-  return it != nonempty_.end() ? *it : nonempty_.front();
+  const std::size_t slot = slot_of(pool_->at(pkt_slot).flow);
+  SMARTNOC_CHECK(slot < local_flows_.size(), "retransmission re-queued at the wrong NIC");
+  enqueue(slot, QueuedPacket{pkt_slot, not_before}, /*front=*/true);
 }
 
 void Nic::inject(Cycle now, ActivityCounters& act) {
@@ -94,8 +92,7 @@ void Nic::inject(Cycle now, ActivityCounters& act) {
     if (chosen == local_flows_.size()) return;
     LocalFlow& lf = local_flows_[chosen];
     ActiveTx tx;
-    tx.slot = lf.queue.front().slot;
-    lf.queue.pop_front();
+    tx.slot = lf.queue.pop_front().slot;
     queued_total_ -= 1;
     if (lf.queue.empty()) {
       nonempty_.erase(std::lower_bound(nonempty_.begin(), nonempty_.end(), chosen));
@@ -193,9 +190,8 @@ void Nic::credit_arrived(VcId vc) {
 }
 
 int Nic::drop_flow_queue(FlowId flow, const std::function<void(PacketSlot)>& on_dropped) {
-  const auto idx = static_cast<std::size_t>(flow);
-  if (idx >= slot_of_flow_.size() || slot_of_flow_[idx] < 0) return 0;
-  const auto slot = static_cast<std::size_t>(slot_of_flow_[idx]);
+  const std::size_t slot = slot_of(flow);
+  if (slot == local_flows_.size()) return 0;
   LocalFlow& lf = local_flows_[slot];
   if (lf.queue.empty()) return 0;
   const int dropped = static_cast<int>(lf.queue.size());
@@ -207,10 +203,9 @@ int Nic::drop_flow_queue(FlowId flow, const std::function<void(PacketSlot)>& on_
 }
 
 void Nic::rewrite_queued_routes(FlowId flow, const SourceRoute& route) {
-  const auto idx = static_cast<std::size_t>(flow);
-  if (idx >= slot_of_flow_.size() || slot_of_flow_[idx] < 0) return;
-  LocalFlow& lf = local_flows_[static_cast<std::size_t>(slot_of_flow_[idx])];
-  for (const QueuedPacket& q : lf.queue) pool_->at(q.slot).route = route;
+  const std::size_t slot = slot_of(flow);
+  if (slot == local_flows_.size()) return;
+  for (const QueuedPacket& q : local_flows_[slot].queue) pool_->at(q.slot).route = route;
 }
 
 void Nic::purge_flows(const std::vector<std::uint8_t>& affected,

@@ -9,22 +9,32 @@
 // Sink side: per-VC reassembly; a packet is consumed on tail arrival and
 // its receive-VC credit returns over the credit mesh.
 //
-// Hot-path layout: local flows live in a flat vector; the round-robin
-// injector picks from a sorted list of the slots with queued packets
-// (cyclic lower_bound from the round-robin cursor), so a NIC with many
-// registered flows but few busy ones no longer probes every slot each
-// cycle. The seed's linear scan survives behind use_reference_scan (wired
-// to MeshNetwork::use_reference_kernel and cross-pinned bit-identical by
-// the golden determinism matrix). Queued packets are 4-byte PacketSlots
-// into the network's PacketPool (the structure-of-arrays split: the pool
-// owns route/timestamps/ids once per packet), injected flits are 16-byte
-// FlitRefs, and reassembly is a small linear-scanned vector bounded by the
-// VC count. A running queued-packet counter makes idle() O(1) for the
-// network's active-set scheduler and drain check.
+// Memory is O(own flows): a NIC holds one LocalFlow per flow it sources and
+// nothing indexed by the global FlowId, so a network costs O(nodes + flows)
+// however many flows it carries.
+//  * Lookup: local_flows_ is sorted by FlowId - MeshNetwork registers flows
+//    in ascending id and register_flow rejects any other order (a repeat
+//    included) - so the FlowId -> slot map is a binary search over it. A
+//    flow sourced elsewhere is "not ours": offer_packet and requeue_front
+//    reject it, drop_flow_queue and rewrite_queued_routes ignore it.
+//  * Queues: each LocalFlow queue is a RingFifo, which owns no heap block
+//    until the flow's first packet; an idle flow costs its 32-byte slot.
+//
+// Hot-path layout: the round-robin injector picks from a sorted list of the
+// slots with queued packets (cyclic lower_bound from the round-robin
+// cursor), so a NIC with many registered flows but few busy ones does not
+// probe every slot each cycle. The seed's linear scan survives behind
+// use_reference_scan (wired to MeshNetwork::use_reference_kernel and
+// cross-pinned bit-identical by the golden determinism matrix). Queued
+// packets are 4-byte PacketSlots into the network's PacketPool (the
+// structure-of-arrays split: the pool owns route/timestamps/ids once per
+// packet), injected flits are 16-byte FlitRefs, and reassembly is a small
+// linear-scanned vector bounded by the VC count. A running queued-packet
+// counter makes idle() O(1) for the network's active-set scheduler and
+// drain check.
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -34,6 +44,7 @@
 #include "common/types.hpp"
 #include "noc/arbiter.hpp"
 #include "noc/fabric.hpp"
+#include "noc/fifo.hpp"
 #include "noc/flit.hpp"
 #include "noc/flow.hpp"
 #include "noc/packet_pool.hpp"
@@ -48,7 +59,8 @@ class Nic {
 
   NodeId node() const { return node_; }
 
-  /// Registers a flow that originates here.
+  /// Registers a flow that originates here. Flows must arrive in strictly
+  /// ascending id (the lookup invariant above).
   void register_flow(const Flow& flow);
 
   /// Gives the source side `vcs` credits for its injection-segment endpoint.
@@ -138,8 +150,9 @@ class Nic {
   };
   struct LocalFlow {
     FlowId id = kInvalidFlow;
-    std::deque<QueuedPacket> queue;  ///< queued packets, payload in the pool
+    RingFifo<QueuedPacket> queue;  ///< queued packets, payload in the pool
   };
+  static_assert(sizeof(LocalFlow) <= 32, "an idle flow costs one 32-byte slot");
   struct ActiveTx {
     PacketSlot slot = kInvalidSlot;
     int flits = 0;     ///< payload.flits, copied so streaming skips the pool
@@ -160,12 +173,15 @@ class Nic {
   PacketPool* pool_;
   ShardSink* sink_ = nullptr;  ///< non-null only under the sharded protocol
 
-  /// First slot in `nonempty_` at or cyclically after `from` (the batched
-  /// injector's round-robin step; nonempty_ must not be empty).
-  std::size_t next_nonempty(std::size_t from) const;
+  /// Index of `flow` in local_flows_, or local_flows_.size() when the flow
+  /// is not sourced here.
+  std::size_t slot_of(FlowId flow) const;
 
-  std::vector<LocalFlow> local_flows_;  ///< flows sourced at this NIC
-  std::vector<int> slot_of_flow_;      ///< FlowId -> local_flows_ index (-1 = not ours)
+  /// Files a packet into slot `slot`'s queue (front or back), keeping
+  /// nonempty_ and queued_total_ in step.
+  void enqueue(std::size_t slot, QueuedPacket q, bool front);
+
+  std::vector<LocalFlow> local_flows_;  ///< flows sourced here, ascending id
   std::vector<std::size_t> nonempty_;  ///< sorted slots with queued packets
   std::size_t rr_next_ = 0;            ///< round-robin over local_flows_
   int queued_total_ = 0;               ///< packets across all local queues

@@ -18,12 +18,14 @@ std::vector<NodeId> RoutePath::routers(const MeshDims& dims) const {
 }
 
 std::string RoutePath::str() const {
-  std::string s = std::to_string(src) + ":";
+  std::string s = std::to_string(src);
+  s += ':';
   for (std::size_t i = 0; i < links.size(); ++i) {
     if (i) s += ",";
     s += dir_name(links[i]);
   }
-  s += ":" + std::to_string(dst);
+  s += ':';
+  s += std::to_string(dst);
   return s;
 }
 

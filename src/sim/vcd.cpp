@@ -7,6 +7,18 @@
 
 namespace smartnoc::sim {
 
+namespace {
+
+/// One VCD line: a one-character prefix (a wire value, or '#' for a
+/// timestamp), then the wire's identifier code or the time.
+void put_line(std::string& out, char prefix, const std::string& body) {
+  out += prefix;
+  out += body;
+  out += '\n';
+}
+
+}  // namespace
+
 VcdTracer::VcdTracer(const MeshDims& dims, double timescale_ps)
     : dims_(dims), timescale_ps_(timescale_ps) {
   SMARTNOC_CHECK(timescale_ps > 0.0, "timescale must be positive");
@@ -82,7 +94,7 @@ std::string VcdTracer::str() const {
   // Initial values: everything low.
   out += "#0\n$dumpvars\n";
   for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (!names_[i].empty()) out += "0" + code_for(static_cast<int>(i)) + "\n";
+    if (!names_[i].empty()) put_line(out, '0', code_for(static_cast<int>(i)));
   }
   out += "$end\n";
 
@@ -102,15 +114,15 @@ std::string VcdTracer::str() const {
     for (int w : rf.second) {
       // Fall only if the wire is actually high and not re-pulsed now.
       if (high.count(w) != 0 && rf.first.count(w) == 0) {
-        changes += "0" + code_for(w) + "\n";
+        put_line(changes, '0', code_for(w));
         high.erase(w);
       }
     }
     for (int w : rf.first) {
-      if (high.insert(w).second) changes += "1" + code_for(w) + "\n";
+      if (high.insert(w).second) put_line(changes, '1', code_for(w));
     }
     if (!changes.empty()) {
-      out += "#" + std::to_string(t) + "\n";
+      put_line(out, '#', std::to_string(t));
       out += changes;
     }
   }

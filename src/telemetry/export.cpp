@@ -13,8 +13,13 @@ namespace smartnoc::telemetry {
 namespace {
 
 std::string link_name(const MeshDims& dims, NodeId from, Dir d) {
-  std::string out = "L" + std::to_string(from) + dir_name(d);
-  if (dims.has_neighbor(from, d)) out += ">" + std::to_string(dims.neighbor(from, d));
+  std::string out = "L";
+  out += std::to_string(from);
+  out += dir_name(d);
+  if (dims.has_neighbor(from, d)) {
+    out += '>';
+    out += std::to_string(dims.neighbor(from, d));
+  }
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dedicated/dedicated_network.hpp"
+#include "explore/explore.hpp"
 #include "helpers.hpp"
 #include "noc/traffic.hpp"
 #include "sim/runner.hpp"
@@ -127,6 +128,41 @@ TEST(Dedicated, OnlyLinkEnergyForUncontendedTraffic) {
   EXPECT_EQ(act.buffer_writes, 0u);
   EXPECT_EQ(act.alloc_grants, 0u);
   EXPECT_EQ(act.xbar_flit_traversals, 0u);
+}
+
+TEST(Dedicated, SinkRouterWiderThanTheArbiterIsAConfigError) {
+  // 8x8 uniform-random: every node sinks 63 flows, and 63 flows x 2 VCs =
+  // 126 sink-router inputs exceed the arbiter's 80. The build must refuse
+  // with an error that names the limit instead of aborting the process.
+  NocConfig cfg = test_config();
+  cfg.width = 8;
+  cfg.height = 8;
+  cfg.fit_derived();
+  auto flows = noc::make_synthetic_flows(cfg, noc::SyntheticPattern::UniformRandom, 0.05,
+                                         noc::TurnModel::XY);
+  try {
+    DedicatedNetwork net(cfg, std::move(flows));
+    FAIL() << "an over-wide sink router must not build";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("126 sink-router inputs, over the arbiter limit of 80"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // In a sweep the point becomes one failed row; the rest completes.
+  explore::SweepSpec spec;
+  spec.meshes = {MeshDims(8, 8), MeshDims(4, 4)};
+  spec.injections = {0.05};
+  spec.designs = {Design::Dedicated};
+  spec.workloads = {explore::Workload::synthetic(noc::SyntheticPattern::UniformRandom)};
+  spec.warmup_cycles = 100;
+  spec.measure_cycles = 500;
+  const auto rows = explore::run_sweep(spec, 1).rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_FALSE(rows[0].ok);
+  EXPECT_NE(rows[0].error.find("arbiter limit of 80"), std::string::npos) << rows[0].error;
+  EXPECT_TRUE(rows[1].ok) << rows[1].error;
+  EXPECT_GT(rows[1].packets, 0u);
 }
 
 }  // namespace

@@ -124,7 +124,7 @@ TEST(Nmap, SeedGoesToCenter) {
 
 TEST(Nmap, ThrowsWhenTasksExceedCores) {
   TaskGraph g("too-big");
-  for (int i = 0; i < 5; ++i) g.add_task("t" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) g.add_task(std::string("t").append(std::to_string(i)));
   g.add_comm(0, 1, 10);
   EXPECT_THROW(nmap_map(g, MeshDims(2, 2)), ConfigError);
 }

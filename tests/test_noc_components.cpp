@@ -1,10 +1,15 @@
-// Component-level behaviour: VC buffers, round-robin fairness, traffic
-// engine rates, flow construction.
+// Component-level behaviour: VC buffers, the per-flow packet FIFO,
+// round-robin fairness, traffic engine rates, flow construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
+#include "common/rng.hpp"
 #include "helpers.hpp"
 #include "noc/arbiter.hpp"
 #include "noc/buffer.hpp"
+#include "noc/fifo.hpp"
 #include "noc/flow.hpp"
 #include "noc/routing.hpp"
 #include "noc/traffic.hpp"
@@ -33,6 +38,67 @@ TEST(VcBufferTest, RequestLifecycle) {
   EXPECT_EQ(b.requested_out(), Dir::East);
   b.clear_request();
   EXPECT_FALSE(b.has_request());
+}
+
+TEST(RingFifoTest, OwnsNoBlockUntilFirstPush) {
+  RingFifo<std::uint64_t> q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u);
+  q.push_front(7);
+  EXPECT_GT(q.capacity(), 0u);
+  EXPECT_EQ(q.pop_front(), 7u);
+  q.clear();
+  EXPECT_GT(q.capacity(), 0u) << "clear() keeps the block for the next burst";
+}
+
+TEST(RingFifoTest, MatchesDequeUnderSeededMixedOps) {
+  // 10k seeded push_back / push_front / pop_front / clear ops against a
+  // std::deque reference. Pushes outweigh pops, so the ring grows through
+  // several doublings, and both ends move, so it wraps in both directions.
+  RingFifo<std::uint64_t> q;
+  std::deque<std::uint64_t> ref;
+  Xoshiro256 rng = make_stream(0xF1F0, 0);
+  std::size_t max_size = 0, wraps = 0;
+  for (int op = 0; op < 10'000; ++op) {
+    const std::uint64_t r = rng.below(1000);
+    const std::uint64_t v = rng.next();
+    if (r < 430) {
+      q.push_back(v);
+      ref.push_back(v);
+    } else if (r < 650) {
+      q.push_front(v);
+      ref.push_front(v);
+    } else if (r < 995) {
+      if (ref.empty()) continue;
+      ASSERT_EQ(q.pop_front(), ref.front()) << "op " << op;
+      ref.pop_front();
+    } else {
+      const std::size_t cap = q.capacity();
+      q.clear();
+      ref.clear();
+      ASSERT_EQ(q.capacity(), cap);
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "op " << op;
+    ASSERT_EQ(q.empty(), ref.empty());
+    const std::size_t cap = q.capacity();
+    ASSERT_GE(cap, q.size());
+    ASSERT_EQ(cap & (cap - 1), 0u) << "capacity " << cap << " is not 0 or a power of two";
+    if (!ref.empty()) {
+      ASSERT_EQ(q.front(), ref.front());
+    }
+    std::size_t i = 0;
+    for (const std::uint64_t x : q) {
+      ASSERT_EQ(x, ref[i]) << "op " << op << " index " << i;
+      ++i;
+    }
+    ASSERT_EQ(i, ref.size());
+    for (std::size_t k = 0; k < ref.size(); k += 7) ASSERT_EQ(q[k], ref[k]);
+    max_size = std::max(max_size, ref.size());
+    // The front sits past the back in storage: the live range wraps.
+    if (!ref.empty() && &q[ref.size() - 1] < &q[0]) wraps += 1;
+  }
+  EXPECT_GE(max_size, 64u) << "the op mix must drive several growths";
+  EXPECT_GT(wraps, 100u) << "the op mix must exercise wrap-around";
 }
 
 TEST(ArbiterTest, GrantsOnlyRequesters) {

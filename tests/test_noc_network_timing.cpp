@@ -44,7 +44,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{0, 1}, std::pair{0, 2}, std::pair{0, 3}, std::pair{0, 15},
                       std::pair{12, 3}, std::pair{5, 10}, std::pair{15, 0}),
     [](const ::testing::TestParamInfo<std::pair<NodeId, NodeId>>& pinfo) {
-      return "n" + std::to_string(pinfo.param.first) + "_to_n" +
+      return std::string("n").append(std::to_string(pinfo.param.first)) + "_to_n" +
              std::to_string(pinfo.param.second);
     });
 

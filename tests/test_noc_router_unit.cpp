@@ -338,5 +338,67 @@ TEST(NicUnit, ReceiveAssemblesAndCredits) {
   EXPECT_EQ(pool.live(), 1u);
 }
 
+TEST(NicUnit, LooksUpOnlyItsOwnFlows) {
+  // Flow 0 is sourced at node 5: foreign to NIC 4, which owns flows 1 and 2.
+  const NocConfig cfg = cfg4();
+  MockFabric fab;
+  NetworkStats stats;
+  PacketPool pool;
+  Nic nic(4, cfg, &fab, &stats, &pool);
+  FlowSet fs;
+  fs.add(5, 6, 100.0, xy_path(cfg.dims(), 5, 6));
+  fs.add(4, 6, 100.0, xy_path(cfg.dims(), 4, 6));
+  fs.add(4, 7, 100.0, xy_path(cfg.dims(), 4, 7));
+  nic.register_flow(fs.at(1));
+  nic.register_flow(fs.at(2));
+  nic.init_source_credits(cfg.vcs_per_port);
+
+  const RoutePath p6 = xy_path(cfg.dims(), 4, 6), p7 = xy_path(cfg.dims(), 4, 7);
+  const PacketSlot a = offer(pool, 1, 1, p6, 1, 1);
+  const PacketSlot b = offer(pool, 2, 2, p7, 1, 1);
+  const PacketSlot c = offer(pool, 3, 1, p6, 1, 1);
+  for (const PacketSlot s : {a, b, c}) nic.offer_packet(s);
+  EXPECT_EQ(nic.queued_packets(), 3);
+
+  // Not ours: nothing is dropped or rewritten.
+  std::vector<PacketSlot> dropped;
+  const auto collect = [&](PacketSlot s) { dropped.push_back(s); };
+  EXPECT_EQ(nic.drop_flow_queue(0, collect), 0);
+  EXPECT_EQ(nic.drop_flow_queue(99, collect), 0);
+  EXPECT_TRUE(dropped.empty());
+  const SourceRoute before = pool.at(a).route;
+  nic.rewrite_queued_routes(0, fs.at(2).route);
+  EXPECT_TRUE(pool.at(a).route == before);
+
+  // Ours: exactly the flow's own packets, in queue order.
+  nic.rewrite_queued_routes(2, fs.at(1).route);
+  EXPECT_TRUE(pool.at(b).route == fs.at(1).route);
+  EXPECT_TRUE(pool.at(a).route == before);
+  EXPECT_EQ(nic.drop_flow_queue(1, collect), 2);
+  EXPECT_EQ(dropped, (std::vector<PacketSlot>{a, c}));
+  EXPECT_EQ(nic.queued_packets(), 1);
+
+  EXPECT_DEATH(nic.offer_packet(offer(pool, 4, 0, xy_path(cfg.dims(), 5, 6), 1, 1)),
+               "unregistered flow");
+  EXPECT_DEATH(nic.requeue_front(offer(pool, 5, 0, xy_path(cfg.dims(), 5, 6), 1, 1), 9),
+               "wrong NIC");
+}
+
+TEST(NicUnit, RejectsOutOfOrderRegistration) {
+  const NocConfig cfg = cfg4();
+  MockFabric fab;
+  NetworkStats stats;
+  PacketPool pool;
+  FlowSet fs;
+  fs.add(4, 6, 100.0, xy_path(cfg.dims(), 4, 6));
+  fs.add(4, 7, 100.0, xy_path(cfg.dims(), 4, 7));
+  fs.add(5, 6, 100.0, xy_path(cfg.dims(), 5, 6));
+  Nic nic(4, cfg, &fab, &stats, &pool);
+  nic.register_flow(fs.at(1));
+  EXPECT_DEATH(nic.register_flow(fs.at(0)), "ascending id");
+  EXPECT_DEATH(nic.register_flow(fs.at(1)), "ascending id");
+  EXPECT_DEATH(nic.register_flow(fs.at(2)), "wrong NIC");
+}
+
 }  // namespace
 }  // namespace smartnoc::noc

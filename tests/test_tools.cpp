@@ -123,7 +123,7 @@ TEST(Area, ScalesWithConfiguration) {
 TEST(Floorplan, ReportMentionsEveryRouter) {
   const auto fp = floorplan_report(NocConfig::paper_4x4());
   for (int r = 0; r < 16; ++r) {
-    EXPECT_NE(fp.find("R" + std::to_string(r)), std::string::npos) << r;
+    EXPECT_NE(fp.find(std::string("R").append(std::to_string(r))), std::string::npos) << r;
   }
   EXPECT_NE(fp.find("NoC area fraction"), std::string::npos);
 }
