@@ -23,6 +23,12 @@ thread_local ShardState* tl_shard = nullptr;
 /// Shard-thread span lanes batch this many ticks per recorded span.
 constexpr std::uint64_t kSpanChunkTicks = 4096;
 
+/// Records shard `s`'s open batch of ticks as one span on its lane.
+void close_span_chunk(obs::SpanTracer& tracer, int base_lane, ShardState& s) {
+  tracer.span(base_lane + s.id, "shard", "ticks", s.span_chunk_start_us, tracer.now_us());
+  s.span_chunk_ticks = 0;
+}
+
 /// Does `path` traverse any directed link in `links`?
 bool path_crosses(const RoutePath& path, const MeshDims& dims,
                   const std::set<std::pair<NodeId, int>>& links) {
@@ -173,44 +179,40 @@ void MeshNetwork::validate_and_index_flow(const Flow& flow) {
 }
 
 void MeshNetwork::tick() {
-  if (observer_wants_deltas_) {
-    // Snapshot/diff around the kernel: every ActivityCounters mutation
-    // happens inside the tick phases and stats resets happen between
-    // ticks, so the field-wise difference is exactly this tick's activity.
-    // (Sharded ticks fold their per-shard deltas into the global counters
-    // in the epilogue, inside the tick - the diff stays exact.)
-    const ActivityCounters before = stats_.activity();
-    if (reference_kernel_) {
-      tick_reference();
-    } else if (shards_.size() > 1 || force_sharded_) {
-      // Observer callbacks must arrive on one thread: run the same sharded
-      // protocol, shard by shard, on the caller. Bit-identical to the
-      // parallel path (pass order across shards is immaterial by design).
-      tick_sharded(/*parallel=*/false);
-    } else {
-      tick_active_set();
-    }
-    observer_->activity_delta(activity_diff(stats_.activity(), before), now_);
-    return;
-  }
+  // Everything that happens exactly once per cycle lives here; the kernels
+  // below only run the phases. Snapshot/diff for delta observers: every
+  // ActivityCounters mutation happens inside the tick (sharded ticks fold
+  // their per-shard deltas in the epilogue) and stats resets happen between
+  // ticks, so the field-wise difference is exactly this tick's activity.
+  ActivityCounters before;
+  if (observer_wants_deltas_) before = stats_.activity();
+  now_ += 1;
   if (reference_kernel_) {
     tick_reference();
   } else if (shards_.size() > 1 || force_sharded_) {
+    // Observer callbacks must arrive on one thread: under an observer the
+    // same sharded protocol runs shard by shard on the caller. Bit-identical
+    // to the parallel path (pass order across shards is immaterial by design).
     tick_sharded(/*parallel=*/observer_ == nullptr && shards_.size() > 1);
   } else {
-    tick_active_set();
+    run_phases(shards_.front(), stats_.activity());
   }
+  // Idle-clock accounting for the power model.
+  ActivityCounters& act = stats_.activity();
+  act.clocked_inport_cycles += static_cast<std::uint64_t>(clocked_in_total_);
+  act.clocked_outport_cycles += static_cast<std::uint64_t>(clocked_out_total_);
+  if (observer_wants_deltas_) observer_->activity_delta(activity_diff(act, before), now_);
 }
 
-void MeshNetwork::tick_active_set() {
-  now_ += 1;
-  ShardState& s = shards_.front();
+void MeshNetwork::run_phases(ShardState& s, ActivityCounters& act) {
   s.ticks += 1;
 
   // Phase 1: deliver due credits into free-VC queues (usable by SA below).
   // One wheel bucket holds exactly the credits due this cycle; credits due
   // the same cycle always target distinct free-VC queues (at most one tail
   // departs per input port / NIC per cycle), so bucket order is immaterial.
+  // Wheel credits always target this shard's slice (schedule_credit parks
+  // remote ones for the epilogue).
   {
     auto& bucket = s.wheel[now_ % kWheelSize];
     for (const InFlightCredit& c : bucket) {
@@ -220,11 +222,16 @@ void MeshNetwork::tick_active_set() {
     bucket.clear();  // keeps its capacity: no steady-state allocation
   }
 
-  ActivityCounters& act = stats_.activity();
-  // Phases 2-5 walk only the active components. Index loops on purpose:
-  // deliveries within a phase can activate (append) new components, which
-  // then see the remaining phases this cycle - a no-op for them, since a
-  // flit latched at cycle t is only buffer-written at t+1.
+  // Phases 2-5 walk only the active components. Routers may run a phase in
+  // any order, but every BW must precede any ST: ST stages flits into the
+  // downstream router's 2-slot staging ring, which only that router's BW of
+  // the same cycle drains. So BW->ST->SA cannot be fused per router - an
+  // upstream router visited first would stage a third flit (the baseline
+  // mesh trips Router's staging_count < 2 check at once).
+  // Index loops on purpose: deliveries within a phase can activate (append)
+  // new components, which then see the remaining phases this cycle - a
+  // no-op for them, since a flit latched at cycle t is only buffer-written
+  // at t+1.
   // Phase 2: Buffer Write (drains staging filled in earlier cycles).
   for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
     routers_[static_cast<std::size_t>(s.active_routers[i])]->buffer_write(now_, act);
@@ -239,41 +246,34 @@ void MeshNetwork::tick_active_set() {
   }
   // Phase 5: NIC injection (one flit per NIC per cycle).
   for (std::size_t i = 0; i < s.active_nics.size(); ++i) {
-    nics_[static_cast<std::size_t>(s.active_nics[i])]->inject(now_, act);
+    nics_[static_cast<std::size_t>(s.active_nics[i])]->inject(now_);
   }
 
   // Compaction: drop components that went quiescent, preserving insertion
   // order of the survivors. Between ticks the lists are exact.
-  {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < s.active_routers.size(); ++r) {
-      const NodeId n = s.active_routers[r];
-      if (routers_[static_cast<std::size_t>(n)]->has_traffic()) {
-        s.active_routers[w++] = n;
-      } else {
-        router_in_set_[static_cast<std::size_t>(n)] = 0;
-      }
+  std::size_t w = 0;
+  for (std::size_t r = 0; r < s.active_routers.size(); ++r) {
+    const NodeId n = s.active_routers[r];
+    if (routers_[static_cast<std::size_t>(n)]->has_traffic()) {
+      s.active_routers[w++] = n;
+    } else {
+      router_in_set_[static_cast<std::size_t>(n)] = 0;
     }
-    s.active_routers.resize(w);
-    w = 0;
-    for (std::size_t r = 0; r < s.active_nics.size(); ++r) {
-      const NodeId n = s.active_nics[r];
-      if (!nics_[static_cast<std::size_t>(n)]->idle()) {
-        s.active_nics[w++] = n;
-      } else {
-        nic_in_set_[static_cast<std::size_t>(n)] = 0;
-      }
-    }
-    s.active_nics.resize(w);
   }
-
-  // Idle-clock accounting for the power model.
-  act.clocked_inport_cycles += static_cast<std::uint64_t>(clocked_in_total_);
-  act.clocked_outport_cycles += static_cast<std::uint64_t>(clocked_out_total_);
+  s.active_routers.resize(w);
+  w = 0;
+  for (std::size_t r = 0; r < s.active_nics.size(); ++r) {
+    const NodeId n = s.active_nics[r];
+    if (!nics_[static_cast<std::size_t>(n)]->idle()) {
+      s.active_nics[w++] = n;
+    } else {
+      nic_in_set_[static_cast<std::size_t>(n)] = 0;
+    }
+  }
+  s.active_nics.resize(w);
 }
 
 void MeshNetwork::tick_sharded(bool parallel) {
-  now_ += 1;
   if (parallel) {
     if (runtime_ == nullptr) {
       runtime_ = std::make_unique<ShardRuntime>(
@@ -298,61 +298,14 @@ void MeshNetwork::tick_sharded(bool parallel) {
 }
 
 void MeshNetwork::shard_pass_a(ShardState& s) {
-  // Identical phase structure to tick_active_set (kept separate so the
-  // single-shard hot path stays free of sink/epilogue machinery), but
-  // activity lands in the shard's delta and deliveries/credits that leave
-  // the slice are deferred to mailboxes via tl_shard (see deliver()).
+  // The single-shard phases over this shard's slice; activity lands in the
+  // shard's delta, and deliveries/credits that leave the slice are deferred
+  // to mailboxes via tl_shard (see deliver() and schedule_credit()).
   tl_shard = &s;
-  s.ticks += 1;
   if (span_tracer_ != nullptr && s.span_chunk_ticks == 0) {
     s.span_chunk_start_us = span_tracer_->now_us();
   }
-
-  {
-    auto& bucket = s.wheel[now_ % kWheelSize];
-    for (const InFlightCredit& c : bucket) {
-      deliver_credit(c.target, c.vc);  // wheel credits always target this slice
-    }
-    s.credits_in_flight -= bucket.size();
-    bucket.clear();
-  }
-
-  ActivityCounters& act = s.act;
-  for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
-    routers_[static_cast<std::size_t>(s.active_routers[i])]->buffer_write(now_, act);
-  }
-  for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
-    routers_[static_cast<std::size_t>(s.active_routers[i])]->switch_traversal(now_, act);
-  }
-  for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
-    routers_[static_cast<std::size_t>(s.active_routers[i])]->switch_allocation(now_, act);
-  }
-  for (std::size_t i = 0; i < s.active_nics.size(); ++i) {
-    nics_[static_cast<std::size_t>(s.active_nics[i])]->inject(now_, act);
-  }
-
-  {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < s.active_routers.size(); ++r) {
-      const NodeId n = s.active_routers[r];
-      if (routers_[static_cast<std::size_t>(n)]->has_traffic()) {
-        s.active_routers[w++] = n;
-      } else {
-        router_in_set_[static_cast<std::size_t>(n)] = 0;
-      }
-    }
-    s.active_routers.resize(w);
-    w = 0;
-    for (std::size_t r = 0; r < s.active_nics.size(); ++r) {
-      const NodeId n = s.active_nics[r];
-      if (!nics_[static_cast<std::size_t>(n)]->idle()) {
-        s.active_nics[w++] = n;
-      } else {
-        nic_in_set_[static_cast<std::size_t>(n)] = 0;
-      }
-    }
-    s.active_nics.resize(w);
-  }
+  run_phases(s, s.act);
   tl_shard = nullptr;
 }
 
@@ -387,11 +340,7 @@ void MeshNetwork::shard_pass_b(ShardState& s) {
 
   if (span_tracer_ != nullptr) {
     s.span_chunk_ticks += 1;
-    if (s.span_chunk_ticks >= kSpanChunkTicks) {
-      span_tracer_->span(span_base_lane_ + s.id, "shard", "ticks", s.span_chunk_start_us,
-                         span_tracer_->now_us());
-      s.span_chunk_ticks = 0;
-    }
+    if (s.span_chunk_ticks >= kSpanChunkTicks) close_span_chunk(*span_tracer_, span_base_lane_, s);
   }
 }
 
@@ -427,8 +376,6 @@ void MeshNetwork::shard_epilogue() {
     act.add(s.act);
     s.act.reset();
   }
-  act.clocked_inport_cycles += static_cast<std::uint64_t>(clocked_in_total_);
-  act.clocked_outport_cycles += static_cast<std::uint64_t>(clocked_out_total_);
 }
 
 std::vector<MeshNetwork::ShardTelemetry> MeshNetwork::shard_telemetry() const {
@@ -446,11 +393,7 @@ void MeshNetwork::set_span_tracer(obs::SpanTracer* tracer, int base_lane) {
   if (span_tracer_ != nullptr) {
     // Flush partial tick batches so a detach (or tracer swap) loses nothing.
     for (ShardState& s : shards_) {
-      if (s.span_chunk_ticks > 0) {
-        span_tracer_->span(span_base_lane_ + s.id, "shard", "ticks", s.span_chunk_start_us,
-                           span_tracer_->now_us());
-        s.span_chunk_ticks = 0;
-      }
+      if (s.span_chunk_ticks > 0) close_span_chunk(*span_tracer_, span_base_lane_, s);
     }
   }
   span_tracer_ = tracer;
@@ -465,8 +408,6 @@ void MeshNetwork::set_span_tracer(obs::SpanTracer* tracer, int base_lane) {
 void MeshNetwork::tick_reference() {
   // The seed's cycle loop, kept verbatim as the golden reference: linear
   // credit scan, every router and NIC ticked every cycle.
-  now_ += 1;
-
   for (std::size_t k = 0; k < ref_credits_.size();) {
     if (ref_credits_[k].due <= now_) {
       const InFlightCredit c = ref_credits_[k];
@@ -482,10 +423,7 @@ void MeshNetwork::tick_reference() {
   for (auto& r : routers_) r->buffer_write(now_, act);
   for (auto& r : routers_) r->switch_traversal(now_, act);
   for (auto& r : routers_) r->switch_allocation(now_, act);
-  for (auto& n : nics_) n->inject(now_, act);
-
-  act.clocked_inport_cycles += static_cast<std::uint64_t>(clocked_in_total_);
-  act.clocked_outport_cycles += static_cast<std::uint64_t>(clocked_out_total_);
+  for (auto& n : nics_) n->inject(now_);
 }
 
 void MeshNetwork::offer_packet(FlowId flow, Cycle created) {

@@ -7,10 +7,13 @@
 //   * Mesh:    PresetTable::all_buffer + one extra cycle per link, i.e. the
 //              paper's baseline "3 cycles in router and 1 cycle in link".
 //
-// Per-cycle phase order (documented in DESIGN.md and pinned by timing
-// tests): credit delivery -> Buffer Write -> Switch Traversal -> Switch
-// Allocation -> NIC injection. A grant made in SA fires ST the *next*
-// cycle, giving the 3-stage pipeline its +3-per-stop cost.
+// Per-cycle phase order (see the README "Performance" section; pinned by
+// timing tests): credit delivery -> Buffer Write -> Switch Traversal ->
+// Switch Allocation -> NIC injection. A grant made in SA fires ST the
+// *next* cycle, giving the 3-stage pipeline its +3-per-stop cost. The
+// sequence is written once, in run_phases(); tick() owns everything else
+// that happens exactly once per cycle (the clock, the idle-clock power
+// term, observer deltas) for all three kernels.
 //
 // Scheduling: tick() is event-driven over *active sets*. Routers and NICs
 // join a membership-flagged dirty list when a flit or packet reaches them
@@ -184,7 +187,10 @@ class MeshNetwork final : public Network, private Fabric {
   void deliver_credit(const SegOrigin& target, VcId vc);
   void validate_and_index_flow(const Flow& flow);
 
-  void tick_active_set();
+  /// The per-cycle phases over one shard's active components: its credit
+  /// wheel bucket, BW, ST, SA, NIC injection, then compaction. Activity
+  /// lands in `act` (the global counters single-shard, s.act under shards).
+  void run_phases(ShardState& s, ActivityCounters& act);
   void tick_reference();
 
   // --- Sharded kernel (shard.hpp documents the protocol) -----------------------
@@ -196,7 +202,7 @@ class MeshNetwork final : public Network, private Fabric {
   /// (worker threads when `parallel`, in shard order on the caller when an
   /// observer needs callbacks on one thread), then the serial epilogue.
   void tick_sharded(bool parallel);
-  void shard_pass_a(ShardState& s);  ///< the five phases over s's components
+  void shard_pass_a(ShardState& s);  ///< run_phases over s's components
   void shard_pass_b(ShardState& s);  ///< drain inboxes addressed to s
   void shard_epilogue();             ///< serial: credits, refcounts, stats merge
 

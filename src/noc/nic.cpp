@@ -58,7 +58,7 @@ void Nic::requeue_front(PacketSlot pkt_slot, Cycle not_before) {
   enqueue(slot, QueuedPacket{pkt_slot, not_before}, /*front=*/true);
 }
 
-void Nic::inject(Cycle now, ActivityCounters& act) {
+void Nic::inject(Cycle now) {
   if (!active_.has_value()) {
     if (queued_total_ == 0) return;
     // Round-robin over flows with queued packets; needs a free endpoint VC.
@@ -139,7 +139,6 @@ void Nic::inject(Cycle now, ActivityCounters& act) {
     }
     active_.reset();
   }
-  (void)act;  // injection energy is counted by the fabric's segment delivery
 }
 
 void Nic::accept_flit(const FlitRef& flit, Cycle now) {

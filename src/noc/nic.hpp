@@ -73,8 +73,9 @@ class Nic {
   void offer_packet(PacketSlot slot);
 
   /// Per-cycle injection phase: stream the active packet or start the next
-  /// one (round-robin across this NIC's flows, one flit per cycle).
-  void inject(Cycle now, ActivityCounters& act);
+  /// one (round-robin across this NIC's flows, one flit per cycle). The
+  /// injection link's energy is charged by the fabric's segment delivery.
+  void inject(Cycle now);
 
   /// Sink side: a flit delivered by the fabric (end of cycle `now`).
   /// Consumes the flit's pool reference.

@@ -6,8 +6,9 @@
 // credit time wheel. A tick runs in two parallel passes separated by a
 // barrier:
 //
-//   pass A  - each shard runs the five kernel phases over its own components.
-//             A flit whose segment endpoint lies in another shard is not
+//   pass A  - each shard runs the five kernel phases over its own components
+//             (MeshNetwork::run_phases, the single-shard kernel's code). A
+//             flit whose segment endpoint lies in another shard is not
 //             applied directly: it is appended to an outbox (a mailbox of
 //             16 B FlitRefs) addressed to the owner. Credits for a remote
 //             origin go to a remote-credit list.
@@ -24,11 +25,17 @@
 //             wheels (credits are due >= now+1, so epilogue placement is
 //             timing-exact).
 //
-// The active-set kernel is order-free within a cycle (each input port
-// receives at most one flit per cycle, each free-VC queue at most one credit,
-// and every stats mutation is a commutative add), which is what makes this
-// partition bit-identical to the single-threaded kernel at any shard count -
-// pinned by the GoldenShards matrix in test_golden_determinism.
+// The active-set kernel is order-free within a *phase*: routers may run a
+// phase in any order (each input port receives at most one flit per cycle,
+// each free-VC queue at most one credit, and every stats mutation is a
+// commutative add), but every router's BW precedes any router's ST, because
+// ST stages into the downstream router's 2-slot staging ring and only that
+// router's BW drains it. A fused per-router BW->ST->SA pass breaks this (an
+// upstream router visited first stages a third flit; the baseline mesh trips
+// the staging_count < 2 check at once). Phase-at-a-time order-freedom is
+// what makes this partition bit-identical to the single-threaded kernel at
+// any shard count - pinned by the GoldenShards matrix in
+// test_golden_determinism.
 #pragma once
 
 #include <array>

@@ -16,7 +16,9 @@
 //
 // Both (a) and (b) are pure functions of the routed flows; (c) adds stops
 // by walking each flow. All flows sharing a link share its entire segment
-// history (proved in DESIGN.md), so per-input marks are consistent.
+// history: walking back from the link, two flows either entered each router
+// through the same input, or through different inputs into one output -
+// which rule (a) makes a stop for both - so per-input marks are consistent.
 //
 // The credit crossbar is the transpose of the forward bypass crosspoints,
 // which is exactly how the paper's reverse credit mesh retraces forward

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "common/log.hpp"
 
@@ -105,6 +106,19 @@ TEST(CommonLog, CyclePrefixFollowsSimCycle) {
   EXPECT_EQ(line1.find("cycle"), std::string::npos) << "-1 means no cycle prefix";
   EXPECT_NE(line1.find("[wall +"), std::string::npos);
   EXPECT_NE(line2.find("| cycle 48128] in sim"), std::string::npos);
+}
+
+TEST(CommonLog, SimCycleIsPerThread) {
+  CaptureLog cap;
+  Log::sim_cycle() = 48128;
+  long long seen = 0;
+  std::thread other([&seen] {
+    seen = Log::sim_cycle();
+    Log::sim_cycle() = 7;  // a concurrent session's clock
+  });
+  other.join();
+  EXPECT_EQ(seen, -1) << "another thread's cycle must not leak into this one";
+  EXPECT_EQ(Log::sim_cycle(), 48128);
 }
 
 TEST(CommonLog, DisabledLevelEvaluatesNoArguments) {

@@ -263,8 +263,7 @@ TEST(NicUnit, StreamsWholePacketOneFlitPerCycle) {
   const PacketSlot slot = offer(pool, 9, 0, path, cfg.flits_per_packet(), 5);
   nic.offer_packet(slot);
 
-  ActivityCounters act;
-  for (Cycle t = 6; t < 6 + 8; ++t) nic.inject(t, act);
+  for (Cycle t = 6; t < 6 + 8; ++t) nic.inject(t);
   ASSERT_EQ(fab.sent.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(fab.sent[i].flit.seq, static_cast<int>(i));
@@ -291,16 +290,15 @@ TEST(NicUnit, BlocksWithoutCredits) {
   nic.register_flow(fs.at(0));
   nic.init_source_credits(1);
 
-  ActivityCounters act;
   const RoutePath path = xy_path(cfg.dims(), 4, 6);
   for (int p = 0; p < 2; ++p) {
     nic.offer_packet(offer(pool, static_cast<std::uint32_t>(p), 0, path, 1, 1));
   }
-  nic.inject(2, act);
-  nic.inject(3, act);
+  nic.inject(2);
+  nic.inject(3);
   EXPECT_EQ(fab.sent.size(), 1u) << "second packet must wait for the credit";
   nic.credit_arrived(0);
-  nic.inject(4, act);
+  nic.inject(4);
   EXPECT_EQ(fab.sent.size(), 2u);
 }
 

@@ -442,6 +442,8 @@ void expect_activity_eq(const noc::ActivityCounters& a, const noc::ActivityCount
 struct PowerPoint {
   Design design;
   bool gating;
+  int shard_threads = 1;
+  bool reference_kernel = false;
 };
 
 class PowerSeriesPin : public ::testing::TestWithParam<PowerPoint> {};
@@ -450,14 +452,18 @@ class PowerSeriesPin : public ::testing::TestWithParam<PowerPoint> {};
 // end-of-run Fig. 10b breakdown bit-for-bit. Proven in activity space -
 // the probe accumulates the identical integer deltas the stats window
 // does, between the identical reset boundaries, so feeding either side
-// through the energy model once yields identical doubles.
+// through the energy model once yields identical doubles. The sharded and
+// reference points pin that every kernel's per-tick deltas include the
+// idle-clock term and the epilogue's folded shard activity.
 TEST_P(PowerSeriesPin, EpochSeriesSumsToRunBreakdownBitForBit) {
   const PowerPoint pt = GetParam();
   NocConfig cfg = test_config();
   cfg.warmup_cycles = 200;
   cfg.measure_cycles = 2000;
   cfg.clock_gate_unused_ports = pt.gating;
+  cfg.shard_threads = pt.shard_threads;
   sim::ScenarioSpec spec = sim::ScenarioSpec::classic(pt.design, "vopd", 1.0, cfg);
+  spec.use_reference_kernel = pt.reference_kernel;
   spec.telemetry.epoch_cycles = 256;
   spec.telemetry.power_csv = "/dev/null";  // series on; CSV content pinned elsewhere
   sim::Session session(spec);
@@ -498,10 +504,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PowerPoint{Design::Mesh, true}, PowerPoint{Design::Mesh, false},
                       PowerPoint{Design::Smart, true}, PowerPoint{Design::Smart, false},
                       PowerPoint{Design::Dedicated, true},
-                      PowerPoint{Design::Dedicated, false}),
+                      PowerPoint{Design::Dedicated, false},
+                      PowerPoint{Design::Mesh, true, 2}, PowerPoint{Design::Smart, true, 2},
+                      PowerPoint{Design::Mesh, true, 1, true},
+                      PowerPoint{Design::Smart, true, 1, true}),
     [](const ::testing::TestParamInfo<PowerPoint>& info) {
-      return std::string(design_name(info.param.design)) +
-             (info.param.gating ? "_gated" : "_ungated");
+      const PowerPoint& pt = info.param;
+      return std::string(design_name(pt.design)) + (pt.gating ? "_gated" : "_ungated") +
+             (pt.shard_threads > 1 ? "_shards" + std::to_string(pt.shard_threads) : "") +
+             (pt.reference_kernel ? "_reference" : "");
     });
 
 // --- Run self-profiler -------------------------------------------------------
